@@ -1,7 +1,7 @@
 // Command eeld serves executable editing as a long-running daemon: the
 // scheduling and instrumentation pipeline of cmd/eelprof behind an HTTP
-// API, with request admission, per-tenant quotas, cross-request block
-// batching, one shared schedule cache, and a size-bounded on-disk spill
+// API, with request admission, per-tenant quotas, one shared scheduler
+// and schedule cache per machine model, and a size-bounded on-disk spill
 // so warm state survives restarts.
 //
 //	eeld -addr :8379                               # serve
@@ -22,6 +22,8 @@
 //
 // Errors are structured JSON ({"error": ...}) with matching status
 // codes; every response is counted in eeld.requests_total{route,code}.
+// Size flags that make no sense (-inflight, -queue or -editors below 1,
+// or any negative size) are rejected at startup with exit status 2.
 //
 // Observability (-flight N retains the last N request traces plus up to
 // 4N anomalous ones; -log path writes every trace as a JSON access-log
@@ -68,8 +70,6 @@ func run() error {
 		inflight     = flag.Int("inflight", 8, "requests processed concurrently")
 		queueDepth   = flag.Int("queue", 64, "admitted requests allowed to wait for a slot")
 		tenantQuota  = flag.Int("tenant-quota", 0, "per-tenant concurrent request cap (0 = unlimited)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "cross-request batch gather window")
-		batchMax     = flag.Int("batch-max", 512, "blocks per batch before an early flush")
 		editorCap    = flag.Int("editors", 32, "analyzed executables kept resident")
 		spillPath    = flag.String("spill", "", "schedule-cache spill file (restore on boot, write on drain)")
 		spillMax     = flag.Int("spill-max", 0, "spill file size bound in bytes (0 = unbounded)")
@@ -82,6 +82,14 @@ func run() error {
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: eeld [flags]")
+		os.Exit(2)
+	}
+	if err := validateSizes(map[string]int{
+		"inflight": *inflight, "queue": *queueDepth, "editors": *editorCap,
+		"workers": *workers, "cache": *cacheCap, "tenant-quota": *tenantQuota,
+		"spill-max": *spillMax, "flight": *flightN,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "eeld:", err)
 		os.Exit(2)
 	}
 
@@ -103,8 +111,6 @@ func run() error {
 		MaxInflight:    *inflight,
 		QueueDepth:     *queueDepth,
 		TenantQuota:    *tenantQuota,
-		BatchWindow:    *batchWindow,
-		BatchMaxBlocks: *batchMax,
 		Workers:        *workers,
 		EditorCap:      *editorCap,
 		SpillPath:      *spillPath,
@@ -159,5 +165,27 @@ func run() error {
 		return err
 	}
 	fmt.Fprintln(os.Stderr, "eeld: drained cleanly")
+	return nil
+}
+
+// minSizes is the smallest value each integer flag accepts: a zero
+// -inflight, -queue or -editors cannot serve anything, and no size may
+// be negative (0 is the documented default for the others).
+var minSizes = []struct {
+	flag string
+	min  int
+}{
+	{"inflight", 1}, {"queue", 1}, {"editors", 1}, {"workers", 0},
+	{"cache", 0}, {"tenant-quota", 0}, {"spill-max", 0}, {"flight", 0},
+}
+
+// validateSizes checks the integer flags' values (keyed by flag name)
+// against minSizes, so that none is silently reinterpreted.
+func validateSizes(v map[string]int) error {
+	for _, f := range minSizes {
+		if v[f.flag] < f.min {
+			return fmt.Errorf("-%s %d: must be at least %d", f.flag, v[f.flag], f.min)
+		}
+	}
 	return nil
 }

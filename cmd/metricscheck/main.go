@@ -107,7 +107,7 @@ func run() error {
 			continue
 		}
 		// Only successful API requests carry the full span taxonomy;
-		// health checks and batch traces attribute differently.
+		// health checks and error responses attribute differently.
 		if tr.Kind != "request" || tr.Code != 200 || !strings.HasPrefix(tr.Route, "/v1/") {
 			continue
 		}

@@ -40,6 +40,7 @@ type cacheEntry struct {
 	seed       uint64       // key prefix (model + options); kept for the spill
 	block      []sparc.Inst // private copy of the input, for collision checks
 	out        []sparc.Inst // private copy of the schedule
+	tel        *blockTel    // the schedule's telemetry record; nil if none was made
 	prev, next *cacheEntry
 }
 
@@ -133,14 +134,12 @@ func (c *Cache) ShardStats() []ShardStats {
 	return out
 }
 
-func (c *Cache) get(seed uint64, block []sparc.Inst) ([]sparc.Inst, bool) {
-	return c.getInto(seed, block, nil)
-}
-
-// getInto is get with the copy carved from the caller's arena (nil falls
-// back to a private allocation), so a warmed worker's cache hits cost no
-// allocations.
-func (c *Cache) getInto(seed uint64, block []sparc.Inst, arena *instArena) ([]sparc.Inst, bool) {
+// getInto returns a copy of block's cached schedule, carved from the
+// caller's arena (nil falls back to a private allocation) so a warmed
+// worker's cache hits cost no allocations, and the entry's telemetry
+// record (nil when it was stored without one), which is immutable and
+// shared.
+func (c *Cache) getInto(seed uint64, block []sparc.Inst, arena *instArena) ([]sparc.Inst, *blockTel, bool) {
 	k := blockHash(seed, block)
 	sh := c.shardOf(k)
 	sh.mu.Lock()
@@ -148,7 +147,7 @@ func (c *Cache) getInto(seed uint64, block []sparc.Inst, arena *instArena) ([]sp
 	if !ok || !blocksEqual(e.block, block) {
 		sh.misses++
 		sh.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	sh.hits++
 	sh.moveToFront(e)
@@ -160,20 +159,26 @@ func (c *Cache) getInto(seed uint64, block []sparc.Inst, arena *instArena) ([]sp
 	} else {
 		out = append([]sparc.Inst(nil), e.out...)
 	}
+	tel := e.tel
 	sh.mu.Unlock()
-	return out, true
+	return out, tel, true
 }
 
-func (c *Cache) put(seed uint64, block, out []sparc.Inst) {
+// put stores private copies of block, its schedule and (when non-nil)
+// the schedule's telemetry record.
+func (c *Cache) put(seed uint64, block, out []sparc.Inst, tel *blockTel) {
 	k := blockHash(seed, block)
 	blockCopy := append([]sparc.Inst(nil), block...)
 	outCopy := append([]sparc.Inst(nil), out...)
+	if tel != nil {
+		tel = &blockTel{tel.telFixed, append([]uint32(nil), tel.Unit...)}
+	}
 	sh := c.shardOf(k)
 	sh.mu.Lock()
 	if e, ok := sh.entries[k]; ok {
 		// Same key, possibly a colliding block: last write wins, like the
 		// unsharded map it replaces. Output never depends on cache content.
-		e.seed, e.block, e.out = seed, blockCopy, outCopy
+		e.seed, e.block, e.out, e.tel = seed, blockCopy, outCopy, tel
 		sh.moveToFront(e)
 		sh.mu.Unlock()
 		return
@@ -181,7 +186,7 @@ func (c *Cache) put(seed uint64, block, out []sparc.Inst) {
 	if len(sh.entries) >= sh.cap {
 		sh.evictOldest()
 	}
-	e := &cacheEntry{key: k, seed: seed, block: blockCopy, out: outCopy}
+	e := &cacheEntry{key: k, seed: seed, block: blockCopy, out: outCopy, tel: tel}
 	sh.entries[k] = e
 	sh.pushFront(e)
 	sh.mu.Unlock()

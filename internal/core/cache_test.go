@@ -11,6 +11,12 @@ import (
 // is a power of two, every shard holds at least one entry, and the
 // per-shard capacities sum exactly to the requested capacity — which is
 // what makes Len <= Capacity a hard bound rather than an amortized one.
+// get is getInto without an arena or the telemetry record.
+func (c *Cache) get(seed uint64, block []sparc.Inst) ([]sparc.Inst, bool) {
+	out, _, ok := c.getInto(seed, block, nil)
+	return out, ok
+}
+
 func TestCacheShardCapacitySplit(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 5, 15, 16, 17, 100, 8192} {
 		c := NewCache(capacity)
@@ -70,12 +76,12 @@ func TestCacheLRUWithinShard(t *testing.T) {
 
 	// Fill the shard, then refresh blocks[0] so blocks[1] becomes LRU.
 	for _, b := range blocks[:perShard] {
-		c.put(seed, b, b)
+		c.put(seed, b, b, nil)
 	}
 	if _, ok := c.get(seed, blocks[0]); !ok {
 		t.Fatal("freshly inserted block missing")
 	}
-	c.put(seed, blocks[perShard], blocks[perShard])
+	c.put(seed, blocks[perShard], blocks[perShard], nil)
 
 	if _, ok := c.get(seed, blocks[1]); ok {
 		t.Fatal("least recently used entry survived eviction")
@@ -100,7 +106,7 @@ func TestCacheLRUWithinShard(t *testing.T) {
 func TestCacheSeedsIsolate(t *testing.T) {
 	c := NewCache(8)
 	b := randomBlocks(rand.New(rand.NewSource(3)), 1)[0]
-	c.put(1, b, b[:1])
+	c.put(1, b, b[:1], nil)
 	if _, ok := c.get(2, b); ok {
 		t.Fatal("seed 2 read seed 1's entry")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,13 @@ import (
 	"eel/internal/obs"
 	"eel/internal/sparc"
 )
+
+// ErrPanic marks a ScheduleBlocks failure caused by a panic in the
+// scheduler or its stall oracle rather than by the block itself being
+// unschedulable: the panic is recovered on whichever goroutine ran the
+// block and becomes that block's error, so one bad block fails its call
+// instead of the process.
+var ErrPanic = errors.New("core: panic while scheduling")
 
 // ScheduleBlocks schedules a batch of basic blocks and returns them in
 // the same order. The paper's scheduler keeps no state across block
@@ -20,7 +28,8 @@ import (
 //
 // Schedulers built with NewWith hold a single, unreplicable oracle and
 // fall back to the sequential path. On error, the failure from the
-// lowest-indexed failing block is reported.
+// lowest-indexed failing block is reported; a recovered panic is such a
+// failure (errors.Is(err, ErrPanic)).
 func (s *Scheduler) ScheduleBlocks(blocks [][]sparc.Inst) ([][]sparc.Inst, error) {
 	return s.scheduleBlocksTraced(nil, -1, blocks)
 }
@@ -63,7 +72,7 @@ func (s *Scheduler) scheduleBlocksTraced(tr *obs.Trace, parent int32, blocks [][
 			// shared scheduler never contend on s.seq even when each call
 			// runs sequentially.
 			w = s.pool.Get().(*worker)
-			defer s.pool.Put(w)
+			defer s.release(w)
 		}
 		if agg != nil {
 			w.tt, w.traceID = agg, tr.ID()
@@ -74,7 +83,7 @@ func (s *Scheduler) scheduleBlocksTraced(tr *obs.Trace, parent int32, blocks [][
 		}
 		defer s.tel.flush(w)
 		for i, b := range blocks {
-			sb, err := s.scheduleBlockOn(w, i, b)
+			sb, err := s.scheduleContained(w, i, b)
 			if err != nil {
 				return nil, fmt.Errorf("core: block %d: %w", i, err)
 			}
@@ -94,7 +103,7 @@ func (s *Scheduler) scheduleBlocksTraced(tr *obs.Trace, parent int32, blocks [][
 	)
 	runWorker := func() {
 		w := s.pool.Get().(*worker)
-		defer s.pool.Put(w)
+		defer s.release(w)
 		if agg != nil {
 			w.tt, w.traceID = &phaseTimes{}, tr.ID()
 			defer func() {
@@ -110,7 +119,7 @@ func (s *Scheduler) scheduleBlocksTraced(tr *obs.Trace, parent int32, blocks [][
 			if i >= len(blocks) {
 				return
 			}
-			sb, err := s.scheduleBlockOn(w, i, blocks[i])
+			sb, err := s.scheduleContained(w, i, blocks[i])
 			if err != nil {
 				// Keep draining so the reported error is the
 				// deterministic lowest-indexed failure.
@@ -119,6 +128,11 @@ func (s *Scheduler) scheduleBlocksTraced(tr *obs.Trace, parent int32, blocks [][
 					firstIdx, firstErr = i, err
 				}
 				mu.Unlock()
+				if w.broken {
+					// Every lower index is already claimed, so the other
+					// workers still find the lowest failure without it.
+					return
+				}
 				continue
 			}
 			out[i] = sb
@@ -149,4 +163,25 @@ func (s *Scheduler) scheduleBlocksTraced(tr *obs.Trace, parent int32, blocks [][
 		return nil, fmt.Errorf("core: block %d: %w", firstIdx, firstErr)
 	}
 	return out, nil
+}
+
+// scheduleContained is scheduleBlockOn with a panic turned into the
+// block's error (wrapping ErrPanic). The worker's scratch and oracle may
+// be half-updated after a panic, so it is marked broken and release
+// drops it instead of returning it to the pool.
+func (s *Scheduler) scheduleContained(w *worker, idx int, block []sparc.Inst) (out []sparc.Inst, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.broken = true
+			out, err = nil, fmt.Errorf("%w: %v", ErrPanic, r)
+		}
+	}()
+	return s.scheduleBlockOn(w, idx, block)
+}
+
+// release returns a pool worker to the pool unless a panic broke it.
+func (s *Scheduler) release(w *worker) {
+	if !w.broken {
+		s.pool.Put(w)
+	}
 }

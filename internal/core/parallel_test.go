@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -313,5 +314,59 @@ func TestScheduleBlocksConcurrentCallers(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// panickyPipeline is the reference oracle, except that it panics on any
+// instruction writing %g7 (randomBlocks never does).
+type panickyPipeline struct{ *pipe.State }
+
+func (p panickyPipeline) check(inst sparc.Inst) {
+	if inst.Rd == sparc.G7 {
+		panic("marked instruction")
+	}
+}
+
+func (p panickyPipeline) Stalls(inst sparc.Inst) (int, error) {
+	p.check(inst)
+	return p.State.Stalls(inst)
+}
+
+func (p panickyPipeline) Issue(inst sparc.Inst) (int, int64, error) {
+	p.check(inst)
+	return p.State.Issue(inst)
+}
+
+// TestScheduleBlocksContainsPanics: a panic in the oracle, on the pool's
+// helper goroutine or on the calling one, fails the call with an error
+// naming the lowest panicking block instead of killing the process, and
+// the scheduler keeps working afterwards.
+func TestScheduleBlocksContainsPanics(t *testing.T) {
+	model := spawn.MustLoad(spawn.UltraSPARC)
+	s := NewWithFactory(func() Pipeline { return panickyPipeline{pipe.NewState(model)} },
+		model, Options{Workers: 2})
+	defer s.Close()
+	clean := randomBlocks(rand.New(rand.NewSource(31)), 40)
+	marked := append([][]sparc.Inst(nil), clean...)
+	bad := []sparc.Inst{sparc.NewALUImm(sparc.OpAdd, sparc.G7, sparc.G1, 1), sparc.NewNop()}
+	marked[7], marked[19], marked[33] = bad, bad, bad
+	// Both workers claim blocks from a shared counter, so repeated calls
+	// land the marked blocks on the helper as well as the caller.
+	for i := 0; i < 20; i++ {
+		_, err := s.ScheduleBlocks(marked)
+		if !errors.Is(err, ErrPanic) || !strings.Contains(err.Error(), "block 7:") {
+			t.Fatalf("call %d: err = %v, want a panic error naming block 7", i, err)
+		}
+	}
+	want, err := New(model, Options{Workers: 1}).ScheduleBlocks(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.ScheduleBlocks(clean)
+	if err != nil {
+		t.Fatalf("call after panics: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("schedule after contained panics differs from a fresh scheduler's")
 	}
 }

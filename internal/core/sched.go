@@ -220,8 +220,9 @@ type Scheduler struct {
 	fastOK  bool       // oracle known monotone, EngineFast allowed
 	tel     *telemetry // nil unless Options.Obs carries a registry
 	opt     *optAgg    // nil unless Engine == EngineOptimal (optimal.go)
-	// telForceReplay disables inline attribution capture so telemetry
-	// falls back to the post-schedule replay on every block. A test
+	// telForceReplay disables inline attribution capture and the cache
+	// entries' stored records, so telemetry falls back to the
+	// post-schedule replay on every block, cache hits included. A test
 	// hook: the differential attribution test runs both modes and
 	// asserts counter-for-counter equality.
 	telForceReplay bool
@@ -265,8 +266,10 @@ type worker struct {
 	telAfter     int64
 	telBefore    int64
 	// shard accumulates this worker's telemetry locally; it is merged
-	// into the shared registry at batch end (telemetry.go).
+	// into the shared registry at batch end (telemetry.go). rec is the
+	// scratch record of the last block recorded.
 	shard *telShard
+	rec   blockTel
 	// keptOriginal marks (for tracing) that the never-costs-more guard
 	// rejected the last block's greedy schedule.
 	keptOriginal bool
@@ -284,6 +287,8 @@ type worker struct {
 	// traceID is the daemon trace that carried the current batch,
 	// stamped into decision traces (BlockTrace.TraceID); "" untraced.
 	traceID string
+	// broken marks a worker whose block panicked (parallel.go).
+	broken bool
 }
 
 // New returns a scheduler driven by the machine's SADL pipeline model —
@@ -409,8 +414,8 @@ func (s *Scheduler) scheduleBlockOn(w *worker, idx int, block []sparc.Inst) ([]s
 		w.sc.steps = w.sc.steps[:0]
 		w.keptOriginal = false
 	}
-	// Cleared per block: telemetryBlock replays any block these don't
-	// cover (cache hits, reference engine, unprepared oracles, ...).
+	// Cleared per block: recordBlock replays any block these don't
+	// cover (reference engine, unprepared oracles, ...).
 	w.telInline = false
 	w.telUseBefore = false
 	if c := s.opts.Cache; c != nil && s.cacheID != 0 && !tracing {
@@ -418,7 +423,7 @@ func (s *Scheduler) scheduleBlockOn(w *worker, idx int, block []sparc.Inst) ([]s
 		if w.tt != nil {
 			lookupT0 = time.Now()
 		}
-		out, ok := c.getInto(s.cacheID, block, &w.sc.arena)
+		out, rec, ok := c.getInto(s.cacheID, block, &w.sc.arena)
 		if w.tt != nil {
 			w.tt.cacheNs += time.Since(lookupT0).Nanoseconds()
 			w.tt.lookups++
@@ -431,7 +436,10 @@ func (s *Scheduler) scheduleBlockOn(w *worker, idx int, block []sparc.Inst) ([]s
 			// hit is a certified optimum and counts as proven.
 			s.opt.hitProven(len(block))
 			if s.tel != nil {
-				s.telemetryBlock(w, block, out, true)
+				if rec == nil || s.telForceReplay {
+					rec = s.recordBlock(w, block, out)
+				}
+				s.observe(w, len(block), rec, true)
 			}
 			return out, nil
 		}
@@ -439,16 +447,17 @@ func (s *Scheduler) scheduleBlockOn(w *worker, idx int, block []sparc.Inst) ([]s
 		if err != nil {
 			return nil, err
 		}
+		if s.tel != nil {
+			rec = s.recordBlock(w, block, out)
+			s.observe(w, len(block), rec, false)
+		}
 		if s.opt != nil && w.optUnproven {
 			// A budget-exhausted search is just the greedy fallback with no
 			// certificate; caching it would let a later run mistake it for
 			// a proven optimum. Skip the put and count the bypass.
 			s.opt.cacheBypassed()
 		} else {
-			c.put(s.cacheID, block, out)
-		}
-		if s.tel != nil {
-			s.telemetryBlock(w, block, out, false)
+			c.put(s.cacheID, block, out, rec)
 		}
 		return out, nil
 	}
@@ -457,7 +466,7 @@ func (s *Scheduler) scheduleBlockOn(w *worker, idx int, block []sparc.Inst) ([]s
 		return nil, err
 	}
 	if s.tel != nil {
-		s.telemetryBlock(w, block, out, false)
+		s.observe(w, len(block), s.recordBlock(w, block, out), false)
 	}
 	if tracing {
 		s.emitTrace(w, idx, block, out)

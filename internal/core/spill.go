@@ -13,9 +13,10 @@ import (
 )
 
 // This file is the schedule cache's on-disk spill: a size-bounded binary
-// snapshot of (seed, input block, scheduled block) entries so a daemon
-// restart starts warm instead of rescheduling every hot block from
-// scratch (cmd/eeld writes one on graceful drain and loads it on boot).
+// snapshot of (seed, input block, scheduled block, telemetry record)
+// entries so a daemon restart starts warm instead of rescheduling every
+// hot block from scratch (cmd/eeld writes one on graceful drain and
+// loads it on boot).
 //
 // Safety model — a spill may cost warmth, never correctness:
 //
@@ -35,8 +36,9 @@ import (
 // spillMagic identifies the spill format ("EELS", version below).
 var spillMagic = [4]byte{'E', 'E', 'L', 'S'}
 
-// spillVersion is bumped whenever the entry encoding changes.
-const spillVersion = 1
+// spillVersion is bumped whenever the entry encoding changes. Version 2
+// added the telemetry record (blockTel) after each entry's blocks.
+const spillVersion = 2
 
 // ErrSpillCorrupt reports a spill file that failed structural or checksum
 // validation. The cache is left exactly as it was (cold, for a fresh
@@ -87,11 +89,43 @@ type spillEntry struct {
 	seed  uint64
 	block []sparc.Inst
 	out   []sparc.Inst
+	tel   *blockTel
 }
 
-// size returns the entry's on-disk size in bytes.
-func (e *spillEntry) size() int {
-	return 8 + 4 + 4 + (len(e.block)+len(e.out))*instBytes
+// appendTel appends r's encoding: a presence byte, then (when r is
+// non-nil) its fixed part, the unit count and the per-unit counts.
+func appendTel(b []byte, r *blockTel) []byte {
+	if r == nil {
+		return append(b, 0)
+	}
+	buf := bytes.NewBuffer(append(b, 1))
+	binary.Write(buf, binary.BigEndian, &r.telFixed)
+	binary.Write(buf, binary.BigEndian, uint16(len(r.Unit)))
+	binary.Write(buf, binary.BigEndian, r.Unit)
+	return buf.Bytes()
+}
+
+// parseTel decodes appendTel's encoding from the front of p and returns
+// the record (nil when none was stored) and the rest of p; ok is false
+// when p is too short.
+func parseTel(p []byte) (r *blockTel, rest []byte, ok bool) {
+	if len(p) == 0 {
+		return nil, nil, false
+	}
+	if p[0] == 0 {
+		return nil, p[1:], true
+	}
+	rd := bytes.NewReader(p[1:])
+	r = &blockTel{}
+	var n uint16
+	if binary.Read(rd, binary.BigEndian, &r.telFixed) != nil || binary.Read(rd, binary.BigEndian, &n) != nil {
+		return nil, nil, false
+	}
+	r.Unit = make([]uint32, n)
+	if binary.Read(rd, binary.BigEndian, r.Unit) != nil {
+		return nil, nil, false
+	}
+	return r, p[len(p)-rd.Len():], true
 }
 
 // snapshotMRU collects every entry in approximate global recency order:
@@ -106,7 +140,7 @@ func (c *Cache) snapshotMRU() []spillEntry {
 		sh.mu.Lock()
 		list := make([]spillEntry, 0, len(sh.entries))
 		for e := sh.head; e != nil; e = e.next {
-			list = append(list, spillEntry{seed: e.seed, block: e.block, out: e.out})
+			list = append(list, spillEntry{seed: e.seed, block: e.block, out: e.out, tel: e.tel})
 		}
 		sh.mu.Unlock()
 		perShard[i] = list
@@ -144,28 +178,20 @@ func (c *Cache) SaveSpill(path, fingerprint string, maxBytes int) (int, error) {
 	written := 0
 	scratch := make([]byte, 0, 1024)
 	for _, e := range c.snapshotMRU() {
-		need := e.size()
+		scratch = binary.BigEndian.AppendUint64(scratch[:0], e.seed)
+		scratch = binary.BigEndian.AppendUint32(scratch, uint32(len(e.block)))
+		scratch = binary.BigEndian.AppendUint32(scratch, uint32(len(e.out)))
+		for _, blk := range [...][]sparc.Inst{e.block, e.out} {
+			for _, in := range blk {
+				var ib [instBytes]byte
+				putInst(ib[:], in)
+				scratch = append(scratch, ib[:]...)
+			}
+		}
+		scratch = appendTel(scratch, e.tel)
 		// The trailing CRC must also fit inside the budget.
-		if maxBytes > 0 && buf.Len()+need+4 > maxBytes {
+		if maxBytes > 0 && buf.Len()+len(scratch)+4 > maxBytes {
 			continue
-		}
-		scratch = scratch[:0]
-		var w8 [8]byte
-		binary.BigEndian.PutUint64(w8[:], e.seed)
-		scratch = append(scratch, w8[:]...)
-		binary.BigEndian.PutUint32(w4[:], uint32(len(e.block)))
-		scratch = append(scratch, w4[:]...)
-		binary.BigEndian.PutUint32(w4[:], uint32(len(e.out)))
-		scratch = append(scratch, w4[:]...)
-		for _, in := range e.block {
-			var ib [instBytes]byte
-			putInst(ib[:], in)
-			scratch = append(scratch, ib[:]...)
-		}
-		for _, in := range e.out {
-			var ib [instBytes]byte
-			putInst(ib[:], in)
-			scratch = append(scratch, ib[:]...)
 		}
 		buf.Write(scratch)
 		written++
@@ -256,13 +282,17 @@ func (c *Cache) LoadSpill(path, fingerprint string) (int, error) {
 			e.out[i] = getInst(p[i*instBytes:])
 		}
 		p = p[no*instBytes:]
+		var ok bool
+		if e.tel, p, ok = parseTel(p); !ok {
+			return 0, fmt.Errorf("%w: truncated telemetry record", ErrSpillCorrupt)
+		}
 		entries = append(entries, e)
 	}
 	// Entries were written hottest-first; insert in reverse so the
 	// restored LRU order matches the saved one.
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := &entries[i]
-		c.put(e.seed, e.block, e.out)
+		c.put(e.seed, e.block, e.out, e.tel)
 	}
 	return len(entries), nil
 }

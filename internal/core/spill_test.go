@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"eel/internal/obs"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
 )
@@ -66,7 +67,7 @@ func TestSpillPreservesDistinctSeeds(t *testing.T) {
 	c := NewCache(32)
 	blocks := randomBlocks(rand.New(rand.NewSource(7)), 6)
 	for i, b := range blocks {
-		c.put(uint64(1+i%2), b, b) // two distinct seeds
+		c.put(uint64(1+i%2), b, b, nil) // two distinct seeds
 	}
 	path := filepath.Join(t.TempDir(), "s.spill")
 	if _, err := c.SaveSpill(path, "fp", 0); err != nil {
@@ -92,7 +93,7 @@ func TestSpillPreservesDistinctSeeds(t *testing.T) {
 func TestSpillCorruptionIsColdStart(t *testing.T) {
 	c := NewCache(0)
 	for i, b := range randomBlocks(rand.New(rand.NewSource(3)), 20) {
-		c.put(uint64(i+1), b, b)
+		c.put(uint64(i+1), b, b, nil)
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "good.spill")
@@ -135,7 +136,7 @@ func TestSpillCorruptionIsColdStart(t *testing.T) {
 func TestSpillFingerprintMismatchIsSilentCold(t *testing.T) {
 	c := NewCache(0)
 	b := randomBlocks(rand.New(rand.NewSource(5)), 1)[0]
-	c.put(1, b, b)
+	c.put(1, b, b, nil)
 	path := filepath.Join(t.TempDir(), "s.spill")
 	if _, err := c.SaveSpill(path, "rev-a", 0); err != nil {
 		t.Fatal(err)
@@ -170,7 +171,7 @@ func TestSpillSizeBound(t *testing.T) {
 			b[j] = sparc.NewALUImm(sparc.OpAdd, sparc.G1, sparc.G2, int32(i*ninsts+j))
 		}
 		blocks[i] = b
-		c.put(1, b, b)
+		c.put(1, b, b, nil)
 	}
 	// Touch a few blocks so recency order differs from insertion order.
 	for _, b := range blocks[35:] {
@@ -201,5 +202,46 @@ func TestSpillSizeBound(t *testing.T) {
 		if want := i < saved; ok != want {
 			t.Fatalf("entry %d of recency order: hit=%v, want %v", i, ok, want)
 		}
+	}
+}
+
+// TestSpillRoundTripKeepsTelemetry: a v2 spill carries every entry's
+// telemetry record, so a restarted cache serves hits that copy their
+// records — identical counters to the run that made them, and no replay.
+func TestSpillRoundTripKeepsTelemetry(t *testing.T) {
+	model := spawn.MustLoad(spawn.UltraSPARC)
+	blocks := randomBlocks(rand.New(rand.NewSource(43)), 80)
+	counters := func(c *Cache) map[string]int64 {
+		reg := obs.NewRegistry()
+		if _, err := New(model, Options{Cache: c, Workers: -1, Obs: reg}).ScheduleBlocks(blocks); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counters()
+	}
+	cold := NewCache(0)
+	want := counters(cold)
+	path := filepath.Join(t.TempDir(), "sched.spill")
+	if _, err := cold.SaveSpill(path, "test-rev", 0); err != nil {
+		t.Fatal(err)
+	}
+	warm := NewCache(0)
+	if _, err := warm.LoadSpill(path, "test-rev"); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range blocks {
+		_, wantTel, _ := cold.getInto(cacheSeed(model, Options{}), b, nil)
+		_, gotTel, ok := warm.getInto(cacheSeed(model, Options{}), b, nil)
+		if !ok || wantTel == nil || !reflect.DeepEqual(gotTel, wantTel) {
+			t.Fatalf("block %d: restored record %+v, want %+v", i, gotTel, wantTel)
+		}
+	}
+	got := counters(warm)
+	if got["sched.telemetry.replays"] != 0 {
+		t.Errorf("restored cache replayed %d blocks, want 0", got["sched.telemetry.replays"])
+	}
+	delete(want, "sched.ultrasparc.blocks_cached")
+	delete(got, "sched.ultrasparc.blocks_cached")
+	if !reflect.DeepEqual(withoutReplays(got), withoutReplays(want)) {
+		t.Errorf("counters from restored records differ:\n%v\nvs\n%v", got, want)
 	}
 }

@@ -15,17 +15,21 @@ import (
 // per register class), and the original order is priced so the cycles
 // scheduling hid are counted.
 //
-// On the fast engine the classification happens inline: the greedy pass
-// issues exactly the sequence it emits, so attaching the attribution
-// sink during scheduling (scheduleBlockRaw) captures the emitted
-// order's stalls as a side effect, and the never-costs-more guard's
-// cost replay of the original order doubles as the hidden-cycles
-// measurement. Blocks the inline path cannot cover — cache hits,
-// annulled branches, the reference engine, EngineOptimal, oracles
-// without prepared placement — fall back to the original post-schedule
-// replay, which remains counter-for-counter identical (the differential
-// test in telemetry_test.go pins this). Either way the numbers never
-// feed back into scheduling: enabling telemetry cannot change a
+// Each scheduled block yields one compact record (blockTel). On the
+// fast engine the record is captured inline: the greedy pass issues
+// exactly the sequence it emits, so attaching the attribution sink
+// during scheduling (scheduleBlockRaw) classifies the emitted order's
+// stalls as a side effect, and the never-costs-more guard's cost replay
+// of the original order doubles as the hidden-cycles measurement.
+// Blocks the inline path cannot cover — annulled branches, the
+// reference engine, EngineOptimal, oracles without prepared placement —
+// are replayed through the oracle after scheduling instead, which is
+// counter-for-counter identical (the differential test in
+// telemetry_test.go pins this). A schedule-cache miss stores its record
+// in the cache entry, so a hit adds the stored record rather than
+// replaying the block; only an entry stored without a record is
+// replayed (counted in sched.telemetry.replays). Either way the numbers
+// never feed back into scheduling: enabling telemetry cannot change a
 // schedule, which is why Obs is excluded from the cache key (and from
 // the JSON encoding bench embeds in its tables).
 //
@@ -54,6 +58,7 @@ type telemetry struct {
 	hidden     *obs.Counter // cycles the emitted order models below the original
 	stallTotal *obs.Counter // classified stall cycles in emitted schedules
 	replayErrs *obs.Counter // telemetry replays the model could not price
+	replays    *obs.Counter // blocks whose record came from a post-schedule replay
 
 	kind  [pipe.NumHazards]*obs.Counter
 	unit  []*obs.Counter // structural stalls by blocking unit
@@ -86,6 +91,7 @@ func newTelemetry(reg *obs.Registry, model *spawn.Model) *telemetry {
 		hidden:     reg.Counter(p + "cycles_hidden_total"),
 		stallTotal: reg.Counter(p + "stall_cycles_total"),
 		replayErrs: reg.Counter(p + "telemetry_replay_errors"),
+		replays:    reg.Counter("sched.telemetry.replays"),
 
 		blockStalls: reg.Histogram(p+"block_stall_cycles", obs.ExpBuckets(1, 12)),
 		blockCycles: reg.Histogram(p+"block_cycles", obs.ExpBuckets(1, 14)),
@@ -120,7 +126,7 @@ func newTelemetry(reg *obs.Registry, model *spawn.Model) *telemetry {
 type telShard struct {
 	blocks, cached, changed  int64
 	hidden, stallTotal       int64
-	replayErrs               int64
+	replayErrs, replays      int64
 	kind                     [pipe.NumHazards]int64
 	unit                     []int64
 	class                    [pipe.NumHazards][pipe.NumRegClasses]int64
@@ -152,6 +158,7 @@ func (t *telemetry) flush(w *worker) {
 	t.hidden.Add(sh.hidden)
 	t.stallTotal.Add(sh.stallTotal)
 	t.replayErrs.Add(sh.replayErrs)
+	t.replays.Add(sh.replays)
 	for k := range sh.kind {
 		t.kind[k].Add(sh.kind[k])
 	}
@@ -196,99 +203,148 @@ func (t *telemetry) recordBatch(workers, blocks int) {
 	t.batchBlocks.Observe(int64(blocks))
 }
 
-// telemetryBlock observes one scheduled block into the worker's shard.
-// When the scheduling pass captured attribution inline
-// (scheduleBlockRaw sets w.telInline), the emitted order's hazard
-// classification and cost are already in hand; otherwise the block is
-// replayed here with the attribution sink attached — cache hits always
-// take the replay path, so attribution totals describe the blocks
-// scheduled, not the cache's hit pattern, and are deterministic for a
-// given input regardless of worker count or cache state.
-func (s *Scheduler) telemetryBlock(w *worker, block, out []sparc.Inst, fromCache bool) {
-	sh := w.shard
-	if sh == nil {
-		sh = s.tel.newShard()
-		w.shard = sh
-	}
-	sh.blocks++
-	sh.blockSize.Observe(int64(len(block)))
-	if fromCache {
-		sh.cached++
-	}
-	unchanged := blocksEqual(out, block)
-	if !unchanged {
-		sh.changed++
-	}
+// unpriced marks a blockTel cost the oracle could not price.
+const unpriced = -1
 
-	var a *pipe.StallAttr
-	var after int64
+// blockTel is one scheduled block's telemetry record: everything the
+// shard counters need, compact enough that every schedule-cache entry
+// can carry one (about 150 bytes), so a cache hit is a copy rather than
+// an oracle replay. Records are immutable once stored in the cache.
+type blockTel struct {
+	telFixed
+	Unit []uint32 // structural stall cycles by blocking unit
+}
+
+// telFixed is blockTel's fixed-size part, laid out for encoding/binary
+// (the spill writes it as is).
+type telFixed struct {
+	Kind  [pipe.NumHazards]uint32
+	Class [pipe.NumHazards][pipe.NumRegClasses]uint32
+	Total uint32
+	// After and Before are the modeled cycles of the emitted and (for
+	// changed blocks) the original order, or unpriced.
+	After, Before int32
+	// Changed marks an emitted order that differs from the input: false
+	// also when the guard kept the original order, as nothing was hidden.
+	Changed bool
+	Attr    bool // stall counts were captured (the oracle has a sink)
+}
+
+// setAttr copies a's counts into r, whose counts must be zero.
+func (r *blockTel) setAttr(a *pipe.StallAttr) {
+	r.Attr, r.Total = true, uint32(a.Total)
+	for k := range a.Kind {
+		r.Kind[k] = uint32(a.Kind[k])
+		for c := range a.Class[k] {
+			r.Class[k][c] = uint32(a.Class[k][c])
+		}
+	}
+	for _, v := range a.Unit {
+		r.Unit = append(r.Unit, uint32(v))
+	}
+}
+
+// recordBlock fills w.rec with the telemetry of block scheduled as out.
+// When the scheduling pass captured attribution inline (scheduleBlockRaw
+// sets w.telInline), the emitted order's hazard classification and cost
+// are already in hand; otherwise out — and block, when it differs — is
+// replayed with the attribution sink attached. The record describes the
+// blocks scheduled, not how they were scheduled, so totals are
+// deterministic for a given input regardless of worker count or cache
+// state.
+func (s *Scheduler) recordBlock(w *worker, block, out []sparc.Inst) *blockTel {
+	r := &w.rec
+	*r = blockTel{telFixed{Before: unpriced, Changed: !blocksEqual(out, block)}, r.Unit[:0]}
 	switch {
 	case w.telInline && w.telUseBefore:
 		// The guard rejected the greedy schedule: the emitted order is
 		// the original, whose attribution and cost the guard's replay
 		// recorded.
-		a, after = &w.attrBefore, w.telBefore
+		r.setAttr(&w.attrBefore)
+		r.After = int32(w.telBefore)
 	case w.telInline:
-		a, after = &w.attr, w.telAfter
+		r.setAttr(&w.attr)
+		r.After = int32(w.telAfter)
+		if r.Changed {
+			// The guard priced the original order on its way to
+			// accepting the changed schedule.
+			r.Before = int32(w.telBefore)
+		}
 	default:
+		s.shard(w).replays++
 		sink, _ := w.p.(attrSink)
 		if sink != nil {
 			w.attr.Reset()
 			sink.SetAttribution(&w.attr)
 		}
-		var err error
-		after, err = s.sequenceCost(w.p, out)
+		after, err := s.sequenceCost(w.p, out)
 		if sink != nil {
 			sink.SetAttribution(nil)
+			r.setAttr(&w.attr)
 		}
+		r.After = int32(after)
 		if err != nil {
 			// Some blocks price only in their emitted shape (an unchanged
 			// CTI the model has no timing group for, say). Telemetry never
 			// fails the schedule; it counts what it could not see.
-			sh.replayErrs++
-			return
-		}
-		if sink != nil {
-			a = &w.attr
-		}
-	}
-	sh.blockCycles.Observe(after)
-	if a != nil {
-		sh.stallTotal += int64(a.Total)
-		sh.blockStalls.Observe(int64(a.Total))
-		for k := range a.Kind {
-			sh.kind[k] += int64(a.Kind[k])
-		}
-		for u := 0; u < len(a.Unit) && u < len(sh.unit); u++ {
-			sh.unit[u] += int64(a.Unit[u])
-		}
-		for k := range a.Class {
-			for c := range a.Class[k] {
-				sh.class[k][c] += int64(a.Class[k][c])
+			r.After = unpriced
+		} else if r.Changed {
+			if before, err := s.sequenceCost(w.p, block); err == nil {
+				r.Before = int32(before)
 			}
 		}
 	}
-	if unchanged || w.telUseBefore {
-		// telUseBefore: emitted == original, nothing was hidden.
+	return r
+}
+
+// shard returns w's telemetry shard, allocating it on first use.
+func (s *Scheduler) shard(w *worker) *telShard {
+	if w.shard == nil {
+		w.shard = s.tel.newShard()
+	}
+	return w.shard
+}
+
+// observe adds one block's record into w's shard.
+func (s *Scheduler) observe(w *worker, insts int, r *blockTel, fromCache bool) {
+	sh := s.shard(w)
+	sh.blocks++
+	sh.blockSize.Observe(int64(insts))
+	if fromCache {
+		sh.cached++
+	}
+	if r.Changed {
+		sh.changed++
+	}
+	if r.After == unpriced {
+		sh.replayErrs++
 		return
 	}
-	var before int64
-	if w.telInline {
-		// The guard priced the original order on its way to accepting
-		// the changed schedule.
-		before = w.telBefore
-	} else {
-		var err error
-		before, err = s.sequenceCost(w.p, block)
-		if err != nil {
-			sh.replayErrs++
-			return
+	sh.blockCycles.Observe(int64(r.After))
+	if r.Attr {
+		sh.stallTotal += int64(r.Total)
+		sh.blockStalls.Observe(int64(r.Total))
+		for k := range r.Kind {
+			sh.kind[k] += int64(r.Kind[k])
+			for c := range r.Class[k] {
+				sh.class[k][c] += int64(r.Class[k][c])
+			}
+		}
+		for u := 0; u < len(r.Unit) && u < len(sh.unit); u++ {
+			sh.unit[u] += int64(r.Unit[u])
 		}
 	}
-	if d := before - after; d > 0 {
+	if !r.Changed {
+		return
+	}
+	if r.Before == unpriced {
+		sh.replayErrs++
+		return
+	}
+	if d := r.Before - r.After; d > 0 {
 		// The never-costs-more guard makes this non-negative whenever
 		// both orders price; clamp anyway so a custom oracle's quirk
 		// can never walk the counter backwards.
-		sh.hidden += d
+		sh.hidden += int64(d)
 	}
 }

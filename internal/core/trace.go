@@ -55,7 +55,7 @@ type BlockTrace struct {
 	// the greedy schedule away; Steps still records how it was built.
 	KeptOriginal bool        `json:"kept_original,omitempty"`
 	Steps        []TraceStep `json:"steps"`
-	// TraceID is the daemon request/batch trace that carried this block
+	// TraceID is the daemon request trace that carried this block
 	// (obs.Trace, via ScheduleBlocksCtx), joining per-block decision
 	// traces to per-request latency traces; "" outside the daemon.
 	TraceID string `json:"trace_id,omitempty"`

@@ -1,26 +1,28 @@
 // Package daemon implements scheduling-as-a-service: the HTTP server
 // behind cmd/eeld. It front-ends the executable-editing library with the
 // pieces a long-running multi-tenant service needs — request admission
-// with a bounded queue, per-tenant concurrency quotas, cross-request
-// batching into core.ScheduleBlocks, one shared sharded schedule cache
+// with a bounded queue, per-tenant concurrency quotas, one shared
+// core.Scheduler per machine model, one shared sharded schedule cache
 // (spilled to disk across restarts), per-executable Editor reuse, and
 // /metrics + /healthz served off internal/obs.
 //
 // Request flow (DESIGN.md §11):
 //
 //	admit (queue bound, tenant quota)
-//	  -> /v1/schedule: batcher (cross-request coalescing) -> shared Scheduler
-//	  -> /v1/edit:     editor LRU (per-image analysis)    -> shared cache
+//	  -> /v1/schedule: the model's shared Scheduler, on the request goroutine
+//	  -> /v1/edit:     editor LRU (per-image analysis) -> shared cache
 //	  -> encode response, count eeld.requests_total{route,code}
 //
 // Every error path returns structured JSON ({"error": ...}) with the
-// matching status code, and every response — success or failure — is
+// matching status code (a panic while scheduling is a 500, counted in
+// eeld.panics_total), and every response — success or failure — is
 // counted by route and code, so the CI smoke job can assert on failure
 // shapes from the /metrics export alone.
 package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,7 +39,8 @@ import (
 	"eel/internal/spawn"
 )
 
-// Config tunes the server. The zero value is usable: defaults below.
+// Config tunes the server. The zero value is usable: a zero field takes
+// the default below, and negative fields are rejected (Validate).
 type Config struct {
 	// CacheCapacity bounds the shared schedule cache (0 = core default).
 	CacheCapacity int
@@ -50,14 +53,9 @@ type Config struct {
 	// TenantQuota caps one tenant's concurrently admitted requests
 	// (X-Eeld-Tenant header; "anon" when absent). 0 disables quotas.
 	TenantQuota int
-	// BatchWindow is how long the cross-request batcher waits for more
-	// blocks after the first arrival before flushing. Default 2ms.
-	BatchWindow time.Duration
-	// BatchMaxBlocks flushes a batch early once it holds this many
-	// blocks. Default 512.
-	BatchMaxBlocks int
-	// Workers is the scheduling worker-pool size per batch/edit
-	// (core.Options.Workers; output is worker-count independent).
+	// Workers is the scheduling worker-pool size per request
+	// (core.Options.Workers, 0 = GOMAXPROCS; output is worker-count
+	// independent).
 	Workers int
 	// EditorCap bounds the per-executable Editor LRU. Default 32.
 	EditorCap int
@@ -86,20 +84,29 @@ type Config struct {
 	SlowRequest time.Duration
 }
 
+// Validate rejects negative sizes, which have no meaning (zero selects
+// a field's default).
+func (c Config) Validate() error {
+	for name, v := range map[string]int{
+		"CacheCapacity": c.CacheCapacity, "MaxInflight": c.MaxInflight,
+		"QueueDepth": c.QueueDepth, "TenantQuota": c.TenantQuota,
+		"Workers": c.Workers, "EditorCap": c.EditorCap, "SpillMaxBytes": c.SpillMaxBytes,
+	} {
+		if v < 0 {
+			return fmt.Errorf("daemon: Config.%s is %d, must not be negative", name, v)
+		}
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
-	if c.MaxInflight <= 0 {
+	if c.MaxInflight == 0 {
 		c.MaxInflight = 8
 	}
-	if c.QueueDepth <= 0 {
+	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchMaxBlocks <= 0 {
-		c.BatchMaxBlocks = 512
-	}
-	if c.EditorCap <= 0 {
+	if c.EditorCap == 0 {
 		c.EditorCap = 32
 	}
 	if c.Registry == nil {
@@ -129,16 +136,20 @@ type Server struct {
 
 	editors *editorLRU
 
-	batchMu  sync.Mutex
-	batchers map[batchKey]*batcher
-	batchWG  sync.WaitGroup
+	// mu guards the per-model schedulers and the draining flag.
+	mu       sync.Mutex
+	scheds   map[spawn.Machine]*core.Scheduler
 	draining bool
 }
 
 // New builds a Server and, when configured, restores the schedule cache
 // from its spill file. A corrupt spill is logged into the registry
-// (eeld.spill.corrupt) and ignored: the daemon starts cold.
+// (eeld.spill.corrupt) and ignored: the daemon starts cold. New panics
+// on a Config that fails Validate.
 func New(cfg Config) *Server {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
@@ -148,7 +159,7 @@ func New(cfg Config) *Server {
 		admission: newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.TenantQuota),
 		models:    make(map[spawn.Machine]*spawn.Model),
 		editors:   newEditorLRU(cfg.EditorCap),
-		batchers:  make(map[batchKey]*batcher),
+		scheds:    make(map[spawn.Machine]*core.Scheduler),
 		flight:    cfg.Flight,
 		access:    cfg.AccessLog,
 		slow:      cfg.SlowRequest,
@@ -220,6 +231,9 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		}
 		h(sw, r)
 		lat := time.Since(start)
+		// Stop the trace's clock before the bookkeeping below, which is
+		// the daemon's own overhead, not the request's.
+		tr.Finish()
 		s.reg.Counter(obs.LabeledName("eeld.requests_total",
 			"route", route, "code", strconv.Itoa(sw.code))).Inc()
 		hist := s.reg.Histogram(obs.LabeledName("eeld.request_micros", "route", route),
@@ -238,7 +252,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		case s.slow > 0 && lat > s.slow:
 			tr.Anomaly = "slow"
 		}
-		tr.Finish()
 		e := tr.Export()
 		s.flight.Record(e)
 		if err := s.access.Write(e); err != nil {
@@ -246,6 +259,19 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		}
 		hist.ObserveTraced(lat.Microseconds(), tr.ID())
 	})
+}
+
+// failSchedule answers a scheduling failure: a panic contained by the
+// scheduler (core.ErrPanic, from the request goroutine or a pool helper)
+// is the daemon's fault (500, eeld.panics_total), anything else the
+// input's.
+func (s *Server) failSchedule(w http.ResponseWriter, format string, err error) {
+	code := http.StatusUnprocessableEntity
+	if errors.Is(err, core.ErrPanic) {
+		s.reg.Counter("eeld.panics_total").Inc()
+		code = http.StatusInternalServerError
+	}
+	fail(w, code, format, err)
 }
 
 // errorBody is the JSON shape of every failure response.
@@ -301,11 +327,25 @@ func (s *Server) model(name string) (*spawn.Model, error) {
 	return md, nil
 }
 
+// schedulerFor returns the model's shared scheduler (shared cache,
+// persistent worker pool), creating it on first use.
+func (s *Server) schedulerFor(model *spawn.Model) *core.Scheduler {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc, ok := s.scheds[model.Machine]
+	if !ok {
+		sc = newScheduler(model, core.Options{Workers: s.cfg.Workers, Cache: s.cache, Obs: s.reg})
+		s.scheds[model.Machine] = sc
+	}
+	return sc
+}
+
+// newScheduler builds the per-model schedulers (a seam for the
+// fault-containment test).
+var newScheduler = core.New
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.batchMu.Lock()
-	draining := s.draining
-	s.batchMu.Unlock()
-	if draining {
+	if s.isDraining() {
 		fail(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
@@ -365,9 +405,6 @@ func (s *Server) snapshotGauges() {
 func (s *Server) poolWorkers() int {
 	if s.cfg.Workers > 0 {
 		return s.cfg.Workers
-	}
-	if s.cfg.Workers < 0 {
-		return 1
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -456,14 +493,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	qsp := tr.StartSpan("batch.queue")
-	scheduled, batchID, err := s.scheduleBatched(r.Context(), model, blocks)
-	if batchID != "" {
-		qsp.Note("batch", batchID)
-	}
-	qsp.End()
+	ssp := tr.StartSpan("schedule")
+	scheduled, err := s.schedulerFor(model).ScheduleBlocksCtx(
+		obs.WithTraceParent(r.Context(), tr, ssp.Idx()), blocks)
+	ssp.End()
 	if err != nil {
-		fail(w, http.StatusUnprocessableEntity, "scheduling: %v", err)
+		s.failSchedule(w, "scheduling: %v", err)
 		return
 	}
 
@@ -566,7 +601,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	out, err := ed.EditCtx(obs.WithTraceParent(r.Context(), tr, esp.Idx()), tool, opts)
 	esp.End()
 	if err != nil {
-		fail(w, http.StatusUnprocessableEntity, "edit: %v", err)
+		s.failSchedule(w, "edit: %v", err)
 		return
 	}
 	wsp := tr.StartSpan("respond.encode")
@@ -576,8 +611,8 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) isDraining() bool {
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.draining
 }
 
@@ -589,10 +624,14 @@ func (s *Server) countReject(reason string) {
 // Drain moves the server into draining mode (healthz and new work return
 // 503), waits for the caller to finish shutting down its http.Server,
 // is expected to be called *after* http.Server.Shutdown returns (no
-// requests in flight), stops the batchers, and writes the cache spill.
-// It returns the number of spilled entries.
+// requests in flight), closes the schedulers' worker pools, and writes
+// the cache spill. It returns the number of spilled entries.
 func (s *Server) Drain() (int, error) {
-	s.stopBatchers()
+	s.mu.Lock()
+	for _, sc := range s.scheds {
+		sc.Close()
+	}
+	s.mu.Unlock()
 	if s.cfg.SpillPath == "" {
 		return 0, nil
 	}
@@ -607,7 +646,7 @@ func (s *Server) Drain() (int, error) {
 // requests are rejected, while in-flight ones run to completion under
 // http.Server.Shutdown. Call before Shutdown; call Drain after.
 func (s *Server) StartDraining() {
-	s.batchMu.Lock()
+	s.mu.Lock()
 	s.draining = true
-	s.batchMu.Unlock()
+	s.mu.Unlock()
 }

@@ -2,11 +2,14 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -17,6 +20,7 @@ import (
 	"eel/internal/eel"
 	"eel/internal/exe"
 	"eel/internal/obs"
+	"eel/internal/pipe"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
 	"eel/internal/workload"
@@ -93,10 +97,10 @@ func postSchedule(t *testing.T, ts *httptest.Server, tenant string, req schedule
 	return resp, buf.Bytes()
 }
 
-// TestScheduleMatchesDirect: the service's batched path returns byte-for-
-// byte what a direct core.Scheduler run produces for the same blocks.
+// TestScheduleMatchesDirect: the service returns byte-for-byte what a
+// direct core.Scheduler run produces for the same blocks.
 func TestScheduleMatchesDirect(t *testing.T) {
-	_, ts := testServer(t, Config{BatchWindow: time.Millisecond})
+	_, ts := testServer(t, Config{})
 	words := blockWords(t, 11, 40)
 
 	resp, body := postSchedule(t, ts, "", scheduleRequest{Machine: "ultrasparc", Blocks: words})
@@ -138,42 +142,65 @@ func TestScheduleMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestScheduleConcurrentBatching hammers the batcher from many tenants
-// at once; every response must match the single-request answer, and the
-// batcher should have coalesced at least one multi-request batch.
-func TestScheduleConcurrentBatching(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, ts := testServer(t, Config{Registry: reg, BatchWindow: 5 * time.Millisecond, MaxInflight: 16})
-	words := blockWords(t, 13, 6)
-
-	want, _ := func() (*scheduleResponse, error) {
-		resp, body := postSchedule(t, ts, "", scheduleRequest{Blocks: words})
-		if resp.StatusCode != 200 {
-			t.Fatalf("seed request: %d %s", resp.StatusCode, body)
+// directWords schedules words block by block with a fresh
+// core.Scheduler's ScheduleBlock and returns the encoded result: the
+// reference every daemon response must match byte for byte.
+func directWords(t *testing.T, words [][]uint32) [][]uint32 {
+	t.Helper()
+	sched := core.New(spawn.MustLoad(spawn.UltraSPARC), core.Options{})
+	out := make([][]uint32, len(words))
+	for i, blk := range words {
+		insts := make([]sparc.Inst, len(blk))
+		for j, w := range blk {
+			var err error
+			if insts[j], err = sparc.Decode(w); err != nil {
+				t.Fatal(err)
+			}
 		}
-		var r scheduleResponse
-		return &r, json.Unmarshal(body, &r)
-	}()
+		sb, err := sched.ScheduleBlock(insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inst := range sb {
+			out[i] = append(out[i], sparc.MustEncode(inst))
+		}
+	}
+	return out
+}
+
+// TestScheduleConcurrentCallers drives the shared scheduler from 12
+// tenants at once (the race job runs it under -race). Each request mixes
+// blocks every caller sends — so callers race on the same cache entries
+// — with blocks only it sends, and every response must be byte-identical
+// to core.Scheduler.ScheduleBlock on the same blocks.
+func TestScheduleConcurrentCallers(t *testing.T) {
+	_, ts := testServer(t, Config{MaxInflight: 16})
+	shared := blockWords(t, 13, 6)
 
 	const callers = 12
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
 	for c := 0; c < callers; c++ {
+		words := append(append([][]uint32(nil), shared...), blockWords(t, int64(100+c), 5)...)
+		want := directWords(t, words)
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			resp, body := postSchedule(t, ts, fmt.Sprintf("tenant-%d", c), scheduleRequest{Blocks: words})
-			if resp.StatusCode != 200 {
-				errs <- fmt.Errorf("caller %d: %d %s", c, resp.StatusCode, body)
-				return
-			}
-			var r scheduleResponse
-			if err := json.Unmarshal(body, &r); err != nil {
-				errs <- err
-				return
-			}
-			if fmt.Sprint(r.Blocks) != fmt.Sprint(want.Blocks) {
-				errs <- fmt.Errorf("caller %d: batched schedule differs", c)
+			for round := 0; round < 3; round++ {
+				resp, body := postSchedule(t, ts, fmt.Sprintf("tenant-%d", c), scheduleRequest{Blocks: words})
+				if resp.StatusCode != 200 {
+					errs <- fmt.Errorf("caller %d: %d %s", c, resp.StatusCode, body)
+					return
+				}
+				var r scheduleResponse
+				if err := json.Unmarshal(body, &r); err != nil {
+					errs <- err
+					return
+				}
+				if fmt.Sprint(r.Blocks) != fmt.Sprint(want) {
+					errs <- fmt.Errorf("caller %d round %d: schedule differs from ScheduleBlock", c, round)
+					return
+				}
 			}
 		}(c)
 	}
@@ -181,9 +208,6 @@ func TestScheduleConcurrentBatching(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	if reg.Counter("eeld.batches_total").Value() == 0 {
-		t.Fatal("no batches recorded")
 	}
 }
 
@@ -466,7 +490,7 @@ func TestSpillWarmRestart(t *testing.T) {
 	spill := filepath.Join(t.TempDir(), "eeld.spill")
 	words := blockWords(t, 29, 50)
 
-	cfg := Config{SpillPath: spill, Fingerprint: "test-rev", BatchWindow: time.Millisecond}
+	cfg := Config{SpillPath: spill, Fingerprint: "test-rev"}
 	cfg.Registry = obs.NewRegistry()
 	s1 := New(cfg)
 	ts1 := httptest.NewServer(s1)
@@ -501,5 +525,146 @@ func TestSpillWarmRestart(t *testing.T) {
 	}
 	if _, err := s2.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panickyPipeline is the reference oracle, except that it panics on the
+// marker instruction below (which blockWords never generates).
+type panickyPipeline struct{ *pipe.State }
+
+var panicMarker = sparc.NewALUImm(sparc.OpAdd, sparc.G7, sparc.G1, 1234)
+
+func (p panickyPipeline) Stalls(inst sparc.Inst) (int, error) {
+	if inst == panicMarker {
+		panic("marked instruction")
+	}
+	return p.State.Stalls(inst)
+}
+
+func (p panickyPipeline) Issue(inst sparc.Inst) (int, int64, error) {
+	if inst == panicMarker {
+		panic("marked instruction")
+	}
+	return p.State.Issue(inst)
+}
+
+// TestSchedulePanicContained: a panic while scheduling — on the request
+// goroutine or on one of the shared pool's helpers — answers that request
+// with a 500 envelope, counts eeld.panics_total, is recorded as an error
+// anomaly, and leaves the daemon serving.
+func TestSchedulePanicContained(t *testing.T) {
+	orig := newScheduler
+	newScheduler = func(model *spawn.Model, opts core.Options) *core.Scheduler {
+		return core.NewWithFactory(func() core.Pipeline { return panickyPipeline{pipe.NewState(model)} }, model, opts)
+	}
+	t.Cleanup(func() { newScheduler = orig })
+	reg := obs.NewRegistry()
+	flight := obs.NewFlight(16)
+	_, ts := testServer(t, Config{Registry: reg, Flight: flight, Workers: 2})
+
+	words := blockWords(t, 53, 12)
+	words[5] = []uint32{sparc.MustEncode(panicMarker), sparc.MustEncode(sparc.NewNop())}
+	const bad = 4
+	for i := 0; i < bad; i++ {
+		resp, body := postSchedule(t, ts, "", scheduleRequest{Blocks: words})
+		var e errorBody
+		if resp.StatusCode != http.StatusInternalServerError ||
+			json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, "block 5") {
+			t.Fatalf("panicking request: %d %s, want a 500 envelope naming block 5", resp.StatusCode, body)
+		}
+	}
+	if n := reg.Counters()["eeld.panics_total"]; n != bad {
+		t.Errorf("eeld.panics_total = %d, want %d", n, bad)
+	}
+	anomalies := 0
+	for _, e := range fetchFlight(t, ts.URL) {
+		if e.Code == http.StatusInternalServerError && e.Anomaly == "error" {
+			anomalies++
+		}
+	}
+	if anomalies != bad {
+		t.Errorf("%d traces classified as error anomalies, want %d", anomalies, bad)
+	}
+	good := blockWords(t, 59, 12)
+	if resp, body := postSchedule(t, ts, "", scheduleRequest{Blocks: good}); resp.StatusCode != 200 {
+		t.Fatalf("request after panics: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestWarmScheduleNeverReplays: the daemon's hot path — a schedule
+// request whose blocks are all cached — adds the records the cold pass
+// stored instead of replaying blocks through the stall oracle, and so
+// contributes exactly the cold pass's attribution again.
+func TestWarmScheduleNeverReplays(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := testServer(t, Config{Registry: reg})
+	words := blockWords(t, 61, 64)
+	pass := func() map[string]int64 {
+		if resp, body := postSchedule(t, ts, "", scheduleRequest{Blocks: words}); resp.StatusCode != 200 {
+			t.Fatalf("schedule: %d %s", resp.StatusCode, body)
+		}
+		return reg.Counters()
+	}
+	cold := pass()
+	warm := pass()
+	if d := warm["sched.telemetry.replays"] - cold["sched.telemetry.replays"]; d != 0 {
+		t.Errorf("warm pass replayed %d blocks, want 0", d)
+	}
+	if d := warm["sched.ultrasparc.blocks_cached"] - cold["sched.ultrasparc.blocks_cached"]; d != int64(len(words)) {
+		t.Fatalf("warm pass served %d blocks from cache, want %d", d, len(words))
+	}
+	for name, v := range cold {
+		if strings.Contains(name, "stall_cycles") || strings.Contains(name, "cycles_hidden") {
+			if warm[name] != 2*v {
+				t.Errorf("%s: warm total %d, want twice the cold pass's %d", name, warm[name], v)
+			}
+		}
+	}
+	if cold["sched.ultrasparc.stall_cycles_total"] == 0 {
+		t.Fatal("no classified stall cycles — the check is vacuous")
+	}
+}
+
+// TestV1SpillStartsCold: a spill written by the previous format (version
+// 1, without telemetry records) is counted as corrupt and ignored.
+func TestV1SpillStartsCold(t *testing.T) {
+	spill := filepath.Join(t.TempDir(), "eeld.spill")
+	cfg := Config{SpillPath: spill, Fingerprint: "test-rev", Registry: obs.NewRegistry()}
+	s1 := New(cfg)
+	ts1 := httptest.NewServer(s1)
+	words := blockWords(t, 67, 20)
+	if resp, body := postSchedule(t, ts1, "", scheduleRequest{Blocks: words}); resp.StatusCode != 200 {
+		t.Fatalf("schedule: %d %s", resp.StatusCode, body)
+	}
+	ts1.Close()
+	if n, err := s1.Drain(); err != nil || n == 0 {
+		t.Fatalf("drain spilled %d entries, err %v", n, err)
+	}
+	// Rewrite the header's version to 1 and re-seal the checksum, so only
+	// the version marks the file as foreign.
+	raw, err := os.ReadFile(spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := raw[:len(raw)-4]
+	binary.BigEndian.PutUint32(body[4:], 1)
+	binary.BigEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(spill, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Registry = obs.NewRegistry()
+	s2, ts2 := testServer(t, cfg)
+	if n := cfg.Registry.Counters()["eeld.spill.corrupt"]; n != 1 {
+		t.Fatalf("eeld.spill.corrupt = %d, want 1", n)
+	}
+	if n := s2.Cache().Len(); n != 0 {
+		t.Fatalf("cache restored %d entries from a v1 spill, want a cold start", n)
+	}
+	if resp, body := postSchedule(t, ts2, "", scheduleRequest{Blocks: words}); resp.StatusCode != 200 {
+		t.Fatalf("schedule after cold start: %d %s", resp.StatusCode, body)
+	}
+	if hits, _ := s2.Cache().Stats(); hits != 0 {
+		t.Fatalf("cold-started daemon served %d cache hits", hits)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"eel/internal/obs"
+	"eel/internal/sparc"
 	"eel/internal/spawn"
 	"eel/internal/workload"
 )
@@ -92,16 +93,18 @@ func noteValue(sp obs.TraceSpan, key string) string {
 // TestRequestTraceAttribution drives both /v1 routes with tracing on and
 // checks the tentpole invariants: every 200 request trace's top-level
 // spans sum to its wall time within 5% (+ absolute slack), the span
-// taxonomy is present per route, the batch trace links back to its
-// member request, and the request's batch.queue span names the batch.
+// taxonomy is present per route, and the scheduler's phase spans nest
+// under the schedule request's one scheduling span.
 func TestRequestTraceAttribution(t *testing.T) {
-	cfg := Config{
-		Flight:      obs.NewFlight(64),
-		BatchWindow: time.Millisecond,
-	}
-	_, ts := testServer(t, cfg)
+	_, ts := testServer(t, Config{Flight: obs.NewFlight(64)})
 
-	resp, body := postSchedule(t, ts, "trace-tenant", scheduleRequest{Blocks: blockWords(t, 31, 30)})
+	// Half the blocks end in a branch and its delay slot, so the
+	// scheduler's CTI phase has work to attribute.
+	words := blockWords(t, 31, 30)
+	for i := 0; i < len(words); i += 2 {
+		words[i] = append(words[i], sparc.MustEncode(sparc.NewBranch(sparc.CondNE, -4)), sparc.MustEncode(sparc.NewNop()))
+	}
+	resp, body := postSchedule(t, ts, "trace-tenant", scheduleRequest{Blocks: words})
 	if resp.StatusCode != 200 {
 		t.Fatalf("schedule: %d %s", resp.StatusCode, body)
 	}
@@ -137,10 +140,20 @@ func TestRequestTraceAttribution(t *testing.T) {
 	if sched.BytesIn == 0 || sched.BytesOut == 0 {
 		t.Errorf("schedule trace bytes in/out = %d/%d, want both > 0", sched.BytesIn, sched.BytesOut)
 	}
+	var top []string
+	for _, sp := range sched.Spans {
+		if sp.Parent == -1 {
+			top = append(top, sp.Name)
+		}
+	}
+	if got, want := strings.Join(top, ","), "admit.wait,req.decode,schedule,respond.encode"; got != want {
+		t.Fatalf("schedule trace top-level spans %s, want %s: %+v", got, want, sched.Spans)
+	}
 	sspans := spanNames(sched)
-	for _, name := range []string{"admit.wait", "req.decode", "batch.queue", "respond.encode"} {
-		if _, ok := sspans[name]; !ok {
-			t.Fatalf("schedule trace missing span %s: %+v", name, sched.Spans)
+	for _, name := range []string{"sched.depgraph", "sched.ready", "sched.cti", "cache.lookup"} {
+		sp, ok := sspans[name]
+		if !ok || sp.Parent < 0 || sched.Spans[sp.Parent].Name != "schedule" {
+			t.Errorf("%s missing or not under the schedule span: %+v", name, sched.Spans)
 		}
 	}
 
@@ -168,35 +181,6 @@ func TestRequestTraceAttribution(t *testing.T) {
 	// under eel.edit — children, so exempt from the top-level sum.
 	if _, ok := espans["eel.schedule"]; !ok {
 		t.Fatalf("edit trace missing eel.schedule child: %+v", edit.Spans)
-	}
-
-	// Batch trace: linked both ways.
-	batch := byKindRoute("batch", "")
-	batchID := noteValue(sspans["batch.queue"], "batch")
-	if batchID != batch.TraceID {
-		t.Errorf("request's batch note %q != batch trace ID %q", batchID, batch.TraceID)
-	}
-	bspans := spanNames(batch)
-	for _, name := range []string{"batch.gather", "batch.assemble", "batch.schedule", "member"} {
-		if _, ok := bspans[name]; !ok {
-			t.Fatalf("batch trace missing span %s: %+v", name, batch.Spans)
-		}
-	}
-	var linked bool
-	for _, sp := range batch.Spans {
-		if sp.Name == "member" && noteValue(sp, "trace") == sched.TraceID {
-			linked = true
-			if got := noteValue(sp, "blocks"); got != "30" {
-				t.Errorf("member span blocks note %q, want 30", got)
-			}
-		}
-	}
-	if !linked {
-		t.Errorf("no member span links back to request %s: %+v", sched.TraceID, batch.Spans)
-	}
-	// Scheduling phase aggregates nest under batch.schedule.
-	if sp, ok := bspans["sched.depgraph"]; !ok || batch.Spans[sp.Parent].Name != "batch.schedule" {
-		t.Errorf("sched.depgraph missing or not under batch.schedule: %+v", batch.Spans)
 	}
 
 	// Every flight line validates against the committed trace schema.
@@ -261,7 +245,6 @@ func TestAnomalyClassification(t *testing.T) {
 		Flight:         flight,
 		SlowRequest:    50 * time.Millisecond,
 		AllowTestDelay: true,
-		BatchWindow:    time.Millisecond,
 	})
 	words := blockWords(t, 37, 2)
 
@@ -309,7 +292,6 @@ func TestDrainUnderLoad(t *testing.T) {
 		Flight:         flight,
 		AccessLog:      access,
 		AllowTestDelay: true,
-		BatchWindow:    time.Millisecond,
 		MaxInflight:    8,
 	}
 	s := New(cfg)

@@ -28,7 +28,7 @@ type TraceSpan struct {
 	Notes   []string `json:"notes,omitempty"` // "key=value" annotations
 }
 
-// Trace is one request's (or one batch's) span tree. It follows the
+// Trace is one request's span tree. It follows the
 // registry's disabled-is-nil convention: every method on a nil *Trace is
 // an inlineable no-op, so instrumented code pays one pointer test when
 // tracing is off. Span appends are lock-free — a slot index is reserved
@@ -59,7 +59,7 @@ type Trace struct {
 	BytesOut int64
 }
 
-// NewTrace starts a trace of the given kind ("request", "batch") with a
+// NewTrace starts a trace of the given kind (eeld uses "request") with a
 // fresh random ID and the clock running.
 func NewTrace(kind string) *Trace {
 	var b [8]byte
@@ -230,7 +230,7 @@ type TraceExport struct {
 
 // Export snapshots the trace. Call after Finish and after all span
 // owners are done (the daemon guarantees this by exporting only once
-// the handler has returned and the batch loop has responded).
+// the handler, and every scheduling worker it started, has returned).
 func (t *Trace) Export() *TraceExport {
 	if t == nil {
 		return nil
