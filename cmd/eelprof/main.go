@@ -68,8 +68,7 @@ func run() error {
 		doRun      = flag.Bool("run", false, "execute the result and report")
 		maxSteps   = flag.Uint64("maxsteps", 1<<30, "execution step limit with -run")
 		workers    = flag.Int("workers", 0, "scheduling worker pool size (0 = GOMAXPROCS)")
-		oracleName = flag.String("oracle", "fast", "stall oracle: fast (compiled tables) or reference (map-based ground truth)")
-		engineName = flag.String("engine", "fast", "scheduling engine: fast (arena/priority-queue), reference (pairwise rescan), or optimal (branch-and-bound exact)")
+		engineName = flag.String("engine", "fast", "scheduling engine: fast (greedy list scheduling) or optimal (branch-and-bound exact)")
 		cacheStats = flag.Bool("cachestats", false, "report schedule-cache statistics after editing")
 		metricsOut = flag.String("metrics", "", "write telemetry to this file (JSON, or Prometheus text for .prom)")
 		traceDir   = flag.String("trace", "", "write per-block scheduling decision traces into this directory")
@@ -83,6 +82,11 @@ func run() error {
 		fmt.Fprintln(os.Stderr, "usage: eelprof [flags] executable\n       eelprof -gen workload [flags]")
 		os.Exit(2)
 	}
+	engine, err := checkFlags(*engineName, *genInsts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "eelprof:", err)
+		os.Exit(2)
+	}
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -91,21 +95,12 @@ func run() error {
 		}()
 	}
 
-	oracle, err := core.ParseOracle(*oracleName)
-	if err != nil {
-		return err
-	}
-	engine, err := core.ParseEngine(*engineName)
-	if err != nil {
-		return err
-	}
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
 		reg.StampRunManifest()
 		reg.SetManifest("tool", "eelprof")
 		reg.SetManifest("machine", *machine)
-		reg.SetManifest("oracle", oracle.String())
 		reg.SetManifest("engine", engine.String())
 		reg.SetManifest("workers", strconv.Itoa(*workers))
 	}
@@ -159,7 +154,7 @@ func run() error {
 	switch {
 	case *reschedule:
 		result, err = ed.Reschedule(model, core.Options{
-			Workers: *workers, Oracle: oracle, Engine: engine, Obs: reg, Trace: trace})
+			Workers: *workers, Engine: engine, Obs: reg, Trace: trace})
 	default:
 		prof = &qpt.SlowProfiler{}
 		opts := eel.Options{}
@@ -167,7 +162,6 @@ func run() error {
 			opts.Machine = model
 			opts.Schedule = true
 			opts.Sched.Workers = *workers
-			opts.Sched.Oracle = oracle
 			opts.Sched.Engine = engine
 			opts.Sched.Obs = reg
 			opts.Sched.Trace = trace
@@ -245,6 +239,20 @@ func run() error {
 		return fmt.Errorf("run did not halt within %d steps", *maxSteps)
 	}
 	return nil
+}
+
+// checkFlags resolves -engine and rejects the flag values run would
+// otherwise silently reinterpret: -gen-dyninsts 0 would become the
+// generator's 1<<20 default.
+func checkFlags(engineName string, genInsts uint64) (core.Engine, error) {
+	engine, err := core.ParseEngine(engineName)
+	if err != nil {
+		return 0, fmt.Errorf("-engine: %w", err)
+	}
+	if genInsts == 0 {
+		return 0, fmt.Errorf("-gen-dyninsts 0: must be at least 1")
+	}
+	return engine, nil
 }
 
 // reportCacheStats prints the schedule cache's effectiveness: aggregate

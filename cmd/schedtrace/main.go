@@ -23,11 +23,13 @@
 //
 // -replay re-schedules every block from the trace's recorded input
 // instructions (traces carry full decoded instructions, so no executable
-// is needed) under the engine/oracle the trace names — overridable with
-// -engine/-oracle — and exits non-zero if any emitted schedule differs
-// from the recorded output. This is the golden-diff debugging loop for
-// engine divergences: record once, replay against the revision (or
-// engine) under suspicion.
+// is needed) under the engine the trace names — overridable with
+// -engine — and exits non-zero if any emitted schedule differs from the
+// recorded output. This is the golden-diff debugging loop for engine
+// divergences: record once, replay against the revision (or engine)
+// under suspicion. Replay rebuilds schedulers the way the CLIs do, over
+// the compiled "fast" oracle, so it rejects traces recorded over any
+// other oracle (a test's pipe.State or a custom hardware model).
 package main
 
 import (
@@ -54,8 +56,7 @@ func run() error {
 		block      = flag.Int("block", -1, "dump one block's decisions")
 		diff       = flag.Bool("diff", false, "diff two trace files decision by decision")
 		replay     = flag.Bool("replay", false, "re-schedule each block's input and diff against the recorded output")
-		engineName = flag.String("engine", "", "override the traced engine for -replay")
-		oracleName = flag.String("oracle", "", "override the traced oracle for -replay")
+		engineName = flag.String("engine", "", "override the traced engine for -replay (fast or optimal)")
 		traceID    = flag.String("traceid", "", "keep only blocks scheduled under this daemon request trace ID")
 	)
 	flag.Parse()
@@ -96,7 +97,7 @@ func run() error {
 	}
 	switch {
 	case *replay:
-		return replayTraces(traces, *engineName, *oracleName)
+		return replayTraces(traces, *engineName)
 	case *block >= 0:
 		for i := range traces {
 			if traces[i].Block == *block {
@@ -246,34 +247,30 @@ func diffBlock(a, b *core.BlockTrace) error {
 
 // replayTraces re-schedules every recorded input and golden-diffs the
 // emitted schedule against the recorded output.
-func replayTraces(traces []core.BlockTrace, engineName, oracleName string) error {
+func replayTraces(traces []core.BlockTrace, engineName string) error {
 	scheds := map[string]*core.Scheduler{}
 	bad := 0
 	for i := range traces {
 		t := &traces[i]
-		eng, orc := t.Engine, t.Oracle
+		if t.Oracle != "fast" {
+			return fmt.Errorf("block %d: traced over the %q oracle; -replay rebuilds schedulers over the compiled \"fast\" oracle only", t.Block, t.Oracle)
+		}
+		eng := t.Engine
 		if engineName != "" {
 			eng = engineName
 		}
-		if oracleName != "" {
-			orc = oracleName
-		}
-		key := t.Model + "/" + eng + "/" + orc
+		key := t.Model + "/" + eng
 		s := scheds[key]
 		if s == nil {
 			engine, err := core.ParseEngine(eng)
 			if err != nil {
-				return fmt.Errorf("block %d: %w (use -engine to override a custom trace)", t.Block, err)
-			}
-			oracle, err := core.ParseOracle(orc)
-			if err != nil {
-				return fmt.Errorf("block %d: %w (use -oracle to override a custom trace)", t.Block, err)
+				return fmt.Errorf("block %d: %w (use -engine to override a reference-engine trace)", t.Block, err)
 			}
 			model, err := spawn.Load(spawn.Machine(t.Model))
 			if err != nil {
 				return err
 			}
-			s = core.New(model, core.Options{Engine: engine, Oracle: oracle})
+			s = core.New(model, core.Options{Engine: engine})
 			scheds[key] = s
 		}
 		out, err := s.ScheduleBlock(t.Input)

@@ -8,10 +8,12 @@
 //
 // -insts scales each benchmark's dynamic length (default 600k); larger
 // runs are slower but less noisy. -workers sizes the scheduling worker
-// pool, -tableworkers the benchmark-row pool (0 = GOMAXPROCS for both),
-// and -oracle/-engine select the stall oracle and scheduling engine; all
-// four change wall-clock time only, never a table. -json emits the table
-// as JSON instead of the paper's format.
+// pool and -tableworkers the benchmark-row pool (0 = GOMAXPROCS for
+// both); both change wall-clock time only, never a table. -engine
+// optimal replaces the paper's greedy scheduler with the exact
+// branch-and-bound search. -json emits the table as JSON instead of the
+// paper's format. Flag values that would silently mean something else
+// (-insts 0, a negative -tableworkers, an unknown -engine) exit 2.
 //
 // -metrics writes the run's telemetry (per-hazard stall attribution,
 // per-row wall time with a slowest_rows top-5, simulator totals, phase
@@ -55,14 +57,18 @@ func run() error {
 		validate   = flag.Bool("validate", false, "cross-check profile counts between runs")
 		workers    = flag.Int("workers", 0, "scheduling worker pool size (0 = GOMAXPROCS)")
 		tworkers   = flag.Int("tableworkers", 0, "benchmark-row worker pool size (0 = GOMAXPROCS)")
-		oracleName = flag.String("oracle", "fast", "stall oracle: fast (compiled tables) or reference (map-based ground truth)")
-		engineName = flag.String("engine", "fast", "scheduling engine: fast (arena/priority-queue), reference (pairwise rescan), or optimal (branch-and-bound exact)")
+		engineName = flag.String("engine", "fast", "scheduling engine: fast (greedy list scheduling) or optimal (branch-and-bound exact)")
 		jsonOut    = flag.Bool("json", false, "emit the table as JSON instead of the paper's text format")
 		metricsOut = flag.String("metrics", "", "write telemetry to this file (JSON, or Prometheus text for .prom)")
 		traceDir   = flag.String("trace", "", "write per-block scheduling decision traces into this directory")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 	)
 	flag.Parse()
+	engine, err := checkFlags(*engineName, *insts, *tworkers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tables:", err)
+		os.Exit(2)
+	}
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -71,14 +77,6 @@ func run() error {
 		}()
 	}
 
-	oracle, err := core.ParseOracle(*oracleName)
-	if err != nil {
-		return err
-	}
-	engine, err := core.ParseEngine(*engineName)
-	if err != nil {
-		return err
-	}
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
@@ -112,7 +110,6 @@ func run() error {
 			Benchmarks:         subset,
 			ValidateCounts:     *validate,
 			Workers:            *workers,
-			Oracle:             oracle,
 			Engine:             engine,
 			TableWorkers:       *tworkers,
 			Obs:                reg,
@@ -158,6 +155,23 @@ func run() error {
 	}
 	fmt.Printf("Table %d: %s", *table, t.String())
 	return nil
+}
+
+// checkFlags resolves -engine and rejects the flag values run would
+// otherwise silently reinterpret: -insts 0 (bench.RunTable's 600k
+// default) and a negative -tableworkers (GOMAXPROCS).
+func checkFlags(engineName string, insts uint64, tableWorkers int) (core.Engine, error) {
+	engine, err := core.ParseEngine(engineName)
+	if err != nil {
+		return 0, fmt.Errorf("-engine: %w", err)
+	}
+	if insts == 0 {
+		return 0, fmt.Errorf("-insts 0: must be at least 1")
+	}
+	if tableWorkers < 0 {
+		return 0, fmt.Errorf("-tableworkers %d: must be at least 0", tableWorkers)
+	}
+	return engine, nil
 }
 
 // writeMetrics exports the telemetry registry, if one was requested.

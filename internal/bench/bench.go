@@ -49,12 +49,9 @@ type TableConfig struct {
 	// 0 = GOMAXPROCS). Scheduling output is byte-identical for any value,
 	// so tables never depend on it — only wall-clock time does.
 	Workers int
-	// Oracle selects the stall oracle (see core.Options.Oracle). Like
-	// Workers it never changes a table, only editing wall-clock time: the
-	// fast and reference oracles schedule identically.
-	Oracle core.Oracle
 	// Engine selects the scheduling engine (see core.Options.Engine).
-	// Also wall-clock-only: both engines schedule identically.
+	// EngineOptimal may emit cheaper schedules than the default greedy
+	// engine, so unlike Workers it can change a table.
 	Engine core.Engine
 	// TableWorkers bounds the benchmark-row worker pool in RunTable
 	// (0 = GOMAXPROCS). Like Workers it never changes a table — rows are
@@ -79,9 +76,6 @@ func (c TableConfig) withDefaults() TableConfig {
 	if c.Workers != 0 && c.Sched.Workers == 0 {
 		c.Sched.Workers = c.Workers
 	}
-	if c.Oracle != core.OracleFast && c.Sched.Oracle == core.OracleFast {
-		c.Sched.Oracle = c.Oracle
-	}
 	if c.Engine != core.EngineFast && c.Sched.Engine == core.EngineFast {
 		c.Sched.Engine = c.Engine
 	}
@@ -101,7 +95,6 @@ func (c TableConfig) stampManifest() {
 	r.StampRunManifest()
 	r.SetManifest("machine", string(c.Machine))
 	r.SetManifest("engine", c.Sched.Engine.String())
-	r.SetManifest("oracle", c.Sched.Oracle.String())
 	r.SetManifest("workers", strconv.Itoa(c.Sched.Workers))
 	r.SetManifest("tableworkers", strconv.Itoa(c.TableWorkers))
 	r.SetManifest("dynamic_insts", strconv.FormatUint(c.DynamicInsts, 10))

@@ -45,7 +45,7 @@ func TestRunTableTelemetry(t *testing.T) {
 	}
 
 	m := reg.Manifest()
-	for _, key := range []string{"go", "platform", "machine", "engine", "oracle", "dynamic_insts"} {
+	for _, key := range []string{"go", "platform", "machine", "engine", "dynamic_insts"} {
 		if m[key] == "" {
 			t.Errorf("manifest missing %q: %v", key, m)
 		}

@@ -270,18 +270,10 @@ func cacheSeed(model *spawn.Model, opts Options) uint64 {
 	if opts.ChainFirst {
 		bits |= 4
 	}
-	// The two oracles produce identical schedules, but keeping their cache
-	// entries apart means a fast-oracle regression can never leak results
-	// into a reference-oracle pass (or vice versa). Likewise for the
-	// scheduling engines — and EngineOptimal can genuinely emit different
-	// (better) schedules, so mixing its entries with greedy ones would be
-	// wrong, not just risky.
-	if opts.Oracle == OracleReference {
-		bits |= 8
-	}
-	if opts.Engine == EngineReference {
-		bits |= 16
-	}
+	// EngineOptimal can emit different (better) schedules, so mixing its
+	// entries with greedy ones would be wrong. Bits 8 and 16 marked the
+	// retired reference oracle and engine; they stay unused so every
+	// remaining configuration keeps its key and old spill files load warm.
 	if opts.Engine == EngineOptimal {
 		bits |= 32
 	}

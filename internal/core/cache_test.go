@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eel/internal/sparc"
+	"eel/internal/spawn"
 )
 
 // TestCacheShardCapacitySplit pins the sharding arithmetic: shard count
@@ -117,5 +118,50 @@ func TestCacheSeedsIsolate(t *testing.T) {
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	}
+}
+
+// TestCacheSeedPinned fixes the cache-key seed of every supported
+// configuration on every machine. Spill files carry entries under these
+// seeds, so a changed value would turn every warm restart cold; a
+// deliberate change must update this table and say so.
+func TestCacheSeedPinned(t *testing.T) {
+	opts := map[string]Options{
+		"default":         {},
+		"ChainFirst":      {ChainFirst: true},
+		"ConservativeMem": {ConservativeMem: true},
+		"EngineOptimal":   {Engine: EngineOptimal},
+	}
+	want := map[spawn.Machine]map[string]uint64{
+		spawn.HyperSPARC: {
+			"default":         0x32c879761d5cb3d,
+			"ChainFirst":      0x32c839761d5c471,
+			"ConservativeMem": 0x32c859761d5c7d7,
+			"EngineOptimal":   0x73a7f2a8af411e2f,
+		},
+		spawn.SuperSPARC: {
+			"default":         0x67f8d63f6935e450,
+			"ChainFirst":      0x67f8da3f6935eb1c,
+			"ConservativeMem": 0x67f8d83f6935e7b6,
+			"EngineOptimal":   0x43044ee08b9bb466,
+		},
+		spawn.UltraSPARC: {
+			"default":         0x42c348d592832359,
+			"ChainFirst":      0x42c34cd592832a25,
+			"ConservativeMem": 0x42c346d592831ff3,
+			"EngineOptimal":   0xe9b2741cebd8484b,
+		},
+	}
+	for _, m := range spawn.Machines() {
+		model := spawn.MustLoad(m)
+		for name, o := range opts {
+			if got := cacheSeed(model, o); got != want[m][name] {
+				t.Errorf("%s %s: cacheSeed = %#x, want %#x", m, name, got, want[m][name])
+			}
+			o.Workers = 1
+			if got := New(model, o).cacheID; got != want[m][name] {
+				t.Errorf("%s %s: New(...).cacheID = %#x, want %#x", m, name, got, want[m][name])
+			}
+		}
 	}
 }

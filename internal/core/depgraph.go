@@ -7,9 +7,9 @@ import (
 	"eel/internal/spawn"
 )
 
-// This file is the fast dependence-graph builder behind EngineFast. It
-// produces exactly the dependence pairs and pair latencies of the
-// reference pairwise builder (buildDAG) — the same RAW first-intersect
+// This file is the fast engine's dependence-graph builder. It produces
+// exactly the dependence pairs and pair latencies of the reference
+// pairwise builder (reference_test.go) — the same RAW first-intersect
 // rule, the same WAR/WAW/memory/trap unit latencies — but discovers the
 // pairs through per-register last-writer/last-reader index tables plus
 // memory-domain and trap-barrier lists instead of intersecting every
@@ -17,11 +17,11 @@ import (
 // worker recycles across blocks. Per block it allocates nothing once the
 // arenas have grown to the block size.
 //
-// Equivalence to buildDAG is load-bearing (chain lengths are a
-// scheduling priority), so the builder re-derives each discovered pair's
-// dependence kinds and latency from per-instruction register bitmasks
-// with the reference rules, rather than trusting the table that surfaced
-// the pair. The tables only bound WHICH pairs can depend; the masks
+// Equivalence to the reference builder is load-bearing (chain lengths
+// are a scheduling priority), so the builder re-derives each discovered
+// pair's dependence kinds and latency from per-instruction register
+// bitmasks with the reference rules, rather than trusting the table that
+// surfaced the pair. The tables only bound WHICH pairs can depend; the masks
 // decide HOW, byte-for-byte like the reference.
 
 // regMask is a dense bitset over sparc.Reg (NumRegs = 67: bits 0..63 in
@@ -174,7 +174,7 @@ func (sc *scratch) touch(r sparc.Reg) {
 }
 
 // buildDepGraph fills sc with the dependence DAG of body, equal edge for
-// edge (as an (i, j, lat) multiset) to the reference buildDAG, and
+// edge (as an (i, j, lat) multiset) to the reference builder, and
 // computes pass 1's dependence-chain lengths. With usePrep the timing
 // groups come from the caller's prepare pass (sc.Prep) instead of fresh
 // model lookups.
@@ -357,7 +357,7 @@ func (s *Scheduler) buildDepGraph(sc *scratch, body []sparc.Inst, usePrep bool) 
 // reference builder's exact latency rules. Candidates may be offered
 // multiple times (a pair can surface through several tables); the stamp
 // dedups them, and the masks re-derive every dependence kind so the
-// combined latency matches buildDAG's pairwise computation.
+// combined latency matches the reference builder's pairwise computation.
 func (sc *scratch) addPred(s *Scheduler, i, j int32) {
 	if sc.stamp[i] == j+1 {
 		return

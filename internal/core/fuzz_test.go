@@ -48,10 +48,8 @@ func FuzzScheduleEngines(f *testing.F) {
 				sparc.NewNop())
 		}
 		opts := core.Options{ConservativeMem: conservative, ChainFirst: chainFirst}
-		refOpts := opts
-		refOpts.Engine = core.EngineReference
 		fastOut, fastErr := core.New(model, opts).ScheduleBlock(block)
-		refOut, refErr := core.New(model, refOpts).ScheduleBlock(block)
+		refOut, refErr := core.UseReferenceEngine(core.New(model, opts)).ScheduleBlock(block)
 		if (fastErr == nil) != (refErr == nil) {
 			t.Fatalf("error divergence on %v:\nfast:      %v\nreference: %v", block, fastErr, refErr)
 		}

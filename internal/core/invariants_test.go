@@ -50,8 +50,8 @@ func suiteBlocks(t *testing.T, machine spawn.Machine) map[string][][]sparc.Inst 
 //     preserved (Scheduler.VerifyDependences);
 //   - cost: the scheduled block never costs more modeled cycles than the
 //     original;
-//   - oracle equivalence: the fast and reference oracles produce
-//     byte-identical schedules;
+//   - oracle equivalence: the compiled tables and the pipe.State
+//     interpreter produce byte-identical schedules;
 //   - engine equivalence: the fast arena/priority-queue engine matches
 //     the reference pairwise-builder/rescan engine, under both oracles.
 func TestScheduleInvariants(t *testing.T) {
@@ -64,9 +64,9 @@ func TestScheduleInvariants(t *testing.T) {
 				name string
 				s    *core.Scheduler
 			}{
-				{"engine=reference/oracle=fast", core.New(model, core.Options{Engine: core.EngineReference})},
-				{"engine=fast/oracle=reference", core.New(model, core.Options{Oracle: core.OracleReference})},
-				{"engine=reference/oracle=reference", core.New(model, core.Options{Engine: core.EngineReference, Oracle: core.OracleReference})},
+				{"engine=reference/oracle=fast", core.UseReferenceEngine(core.New(model, core.Options{}))},
+				{"engine=fast/oracle=reference", core.NewStateScheduler(model, core.Options{})},
+				{"engine=reference/oracle=reference", core.UseReferenceEngine(core.NewStateScheduler(model, core.Options{}))},
 			}
 			nblocks := 0
 			for name, blocks := range suiteBlocks(t, machine) {

@@ -274,8 +274,7 @@ func (a *optAgg) searchError() {
 // is flat and recycled across blocks; after warm-up a search allocates
 // only when it finds an improvement (the new output slice).
 type optSearch struct {
-	fs    *pipe.FastState // search oracle (the worker's, or ownFS)
-	ownFS *pipe.FastState // lazily built when the worker's oracle is not a FastState
+	fs *pipe.FastState // search oracle: the worker's
 
 	n      int // body length
 	body   []sparc.Inst
@@ -468,17 +467,9 @@ func (o *optSearch) init(s *Scheduler, w *worker, hasCTI bool, cti sparc.Inst) e
 	o.improved = false
 	o.exhausted = false
 
-	if fs, ok := w.p.(*pipe.FastState); ok {
-		o.fs = fs
-	} else {
-		// Reference-oracle schedulers still search over a FastState: the
-		// search needs prepared probes and checkpoints, and the two
-		// oracles are differentially proven cycle-identical.
-		if o.ownFS == nil {
-			o.ownFS = pipe.NewFastState(s.model)
-		}
-		o.fs = o.ownFS
-	}
+	// EngineOptimal is only built by New, whose workers always carry a
+	// FastState: the search needs its prepared probes and checkpoints.
+	o.fs = w.p.(*pipe.FastState)
 
 	tab := s.model.Compiled()
 	o.nu = len(tab.UnitCounts)
@@ -487,8 +478,7 @@ func (o *optSearch) init(s *Scheduler, w *worker, hasCTI bool, cti sparc.Inst) e
 
 	// Prepared inputs: the body, then CTI and nop slots for leaf
 	// replays. sc.Prep is not reused even when valid — the guard's
-	// beforeIdx may still reference its slots, and the reference-oracle
-	// path never filled it.
+	// beforeIdx may still reference its slots.
 	for i, inst := range o.body {
 		p, err := o.fs.Prepare(inst)
 		if err != nil {

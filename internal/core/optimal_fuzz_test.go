@@ -1,9 +1,8 @@
 // Differential fuzz: the exact engine against the greedy engine. On
 // random dependence-rich blocks, EngineOptimal must never emit a
-// schedule that models more cycles than EngineFast, must preserve
-// dependences, and must emit byte-identical schedules whichever stall
-// oracle drove it. Seeded from testdata/fuzz/FuzzOptimalNeverWorse and
-// run for 20s in the CI fuzz-smoke job.
+// schedule that models more cycles than EngineFast and must preserve
+// dependences. Seeded from testdata/fuzz/FuzzOptimalNeverWorse and run
+// for 20s in the CI fuzz-smoke job.
 package core_test
 
 import (
@@ -51,20 +50,14 @@ func FuzzOptimalNeverWorse(f *testing.F) {
 		opts := core.Options{ConservativeMem: conservative}
 		optOpts := opts
 		optOpts.Engine = core.EngineOptimal
-		refOpts := optOpts
-		refOpts.Oracle = core.OracleReference
 		greedy := core.New(model, opts)
 		gOut, gErr := greedy.ScheduleBlock(block)
 		oOut, oErr := core.New(model, optOpts).ScheduleBlock(block)
-		rOut, rErr := core.New(model, refOpts).ScheduleBlock(block)
-		if (gErr == nil) != (oErr == nil) || (oErr == nil) != (rErr == nil) {
-			t.Fatalf("error divergence on %v:\ngreedy:           %v\noptimal:          %v\noptimal/reference: %v", block, gErr, oErr, rErr)
+		if (gErr == nil) != (oErr == nil) {
+			t.Fatalf("error divergence on %v:\ngreedy:  %v\noptimal: %v", block, gErr, oErr)
 		}
 		if gErr != nil {
 			return
-		}
-		if !instsEqual(oOut, rOut) {
-			t.Fatalf("optimal schedule depends on the oracle for %v:\nfast:      %v\nreference: %v", block, oOut, rOut)
 		}
 		if err := greedy.VerifyDependences(block, oOut); err != nil {
 			t.Fatalf("optimal schedule breaks dependences: %v\norig: %v\nopt:  %v", err, block, oOut)

@@ -22,7 +22,6 @@ func TestParseEngineOptimal(t *testing.T) {
 	}{
 		{"", EngineFast},
 		{"fast", EngineFast},
-		{"reference", EngineReference},
 		{"optimal", EngineOptimal},
 	} {
 		got, err := ParseEngine(c.in)
@@ -42,7 +41,7 @@ func TestParseEngineOptimal(t *testing.T) {
 	if err == nil {
 		t.Fatal("ParseEngine(bogus): no error")
 	}
-	for _, want := range []string{"bogus", "fast", "reference", "optimal"} {
+	for _, want := range []string{"bogus", "fast", "optimal"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("ParseEngine(bogus) error %q does not mention %q", err, want)
 		}

@@ -17,10 +17,10 @@ import (
 func BenchmarkScheduleBlocks(b *testing.B) {
 	model := spawn.MustLoad(spawn.UltraSPARC)
 	blocks := randomBlocks(rand.New(rand.NewSource(1)), 2000)
-	for _, oracle := range []Oracle{OracleFast, OracleReference} {
+	for _, oracle := range []schedulerVariant{{"fast", New}, {"reference", NewStateScheduler}} {
 		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("oracle=%s/workers=%d", oracle, workers), func(b *testing.B) {
-				s := New(model, Options{Workers: workers, Oracle: oracle})
+			b.Run(fmt.Sprintf("oracle=%s/workers=%d", oracle.name, workers), func(b *testing.B) {
+				s := oracle.mk(model, Options{Workers: workers})
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := s.ScheduleBlocks(blocks); err != nil {
@@ -76,7 +76,7 @@ func BenchmarkScheduleBlocksScaling(b *testing.B) {
 func BenchmarkScheduleBlocksReferenceEngine(b *testing.B) {
 	model := spawn.MustLoad(spawn.UltraSPARC)
 	blocks := randomBlocks(rand.New(rand.NewSource(1)), 2000)
-	s := New(model, Options{Workers: 1, Engine: EngineReference})
+	s := UseReferenceEngine(New(model, Options{Workers: 1}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.ScheduleBlocks(blocks); err != nil {

@@ -150,9 +150,12 @@ func TestScheduleBlocksReportsLowestErrorIndex(t *testing.T) {
 	// sequential, odd sizes that leave stragglers, GOMAXPROCS — and under
 	// both engines, so the error a user sees never depends on timing.
 	var want string
-	for _, engine := range []Engine{EngineFast, EngineReference} {
+	for _, engine := range []string{"fast", "reference"} {
 		for _, workers := range []int{1, 2, 3, 4, 8, 0} {
-			s := New(model, Options{Workers: workers, Engine: engine})
+			s := New(model, Options{Workers: workers})
+			if engine == "reference" {
+				UseReferenceEngine(s)
+			}
 			_, err := s.ScheduleBlocks(blocks)
 			if err == nil {
 				t.Fatalf("engine=%s workers=%d: bad block not rejected", engine, workers)

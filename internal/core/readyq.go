@@ -6,15 +6,16 @@ import (
 	"eel/internal/sparc"
 )
 
-// This file is pass 2 of EngineFast: list scheduling with an indexed
-// priority queue over per-node earliest-issue-cycle bounds, instead of
-// the reference loop's full ready-list Stalls rescan at every step.
+// This file is pass 2 of the fast engine: list scheduling with an
+// indexed priority queue over per-node earliest-issue-cycle bounds,
+// instead of the reference loop's full ready-list Stalls rescan at every
+// step (the reference engine lives in reference_test.go as ground truth).
 //
-// Why the result is still byte-identical to the reference rescan: both
-// stall oracles are monotone — Issue only adds unit usage, raises
-// register read/write horizons, and advances the clock — so the absolute
-// cycle at which a ready instruction could issue never decreases as
-// other instructions are committed. A Stalls probe taken at any earlier
+// Why the result is still byte-identical to the reference rescan: every
+// stall oracle is monotone (the contract on Pipeline) — Issue only adds
+// unit usage, raises register read/write horizons, and advances the
+// clock — so the absolute cycle at which a ready instruction could issue
+// never decreases as other instructions are committed. A Stalls probe taken at any earlier
 // point in the block is therefore a permanent lower bound on the node's
 // current earliest issue cycle. The queue keeps nodes ordered by that
 // bound (ties broken by the reference priority: longest dependence
@@ -123,8 +124,9 @@ func (s *Scheduler) runFastList(sc *scratch, p Pipeline, pp preparedPipeline) ([
 }
 
 // qLess orders queue entries by (earliest-issue bound asc, chain desc,
-// original index asc) — the reference better() with stalls replaced by
-// the absolute-cycle bound, which orders identically at a common clock.
+// original index asc) — the reference engine's priority with stalls
+// replaced by the absolute-cycle bound, which orders identically at a
+// common clock.
 // ChainFirst flips the first two keys, mirroring the ablation.
 func (sc *scratch) qLess(a, b int32, chainFirst bool) bool {
 	if chainFirst {

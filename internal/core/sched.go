@@ -37,69 +37,31 @@ import (
 	"eel/internal/spawn"
 )
 
-// Oracle selects the stall-oracle implementation backing New.
-type Oracle int
-
-const (
-	// OracleFast is the compiled table-driven pipe.FastState: flat
-	// precomputed per-group tables probed against a fixed-size ring
-	// buffer, no per-probe allocation. The default.
-	OracleFast Oracle = iota
-	// OracleReference is the map-based pipe.State — the ground truth the
-	// fast oracle is differentially tested against. Schedules are
-	// identical; only the wall clock differs.
-	OracleReference
-)
-
-// String names the oracle as the CLIs' -oracle flag spells it.
-func (o Oracle) String() string {
-	if o == OracleReference {
-		return "reference"
-	}
-	return "fast"
-}
-
-// ParseOracle converts a -oracle flag value.
-func ParseOracle(s string) (Oracle, error) {
-	switch s {
-	case "fast", "":
-		return OracleFast, nil
-	case "reference":
-		return OracleReference, nil
-	}
-	return 0, fmt.Errorf("core: unknown oracle %q (want fast or reference)", s)
-}
-
-// Engine selects the list-scheduling implementation, orthogonally to the
-// stall oracle: Oracle picks what answers a probe, Engine picks how many
-// probes the scheduler makes.
+// Engine selects the list-scheduling implementation.
 type Engine int
 
 const (
 	// EngineFast is the arena-based scheduler: dependence graph built
 	// through per-register writer/reader tables into flat per-worker
 	// scratch arenas (depgraph.go), pass 2 driven by an indexed priority
-	// queue over monotone earliest-issue bounds (readyq.go). The default.
-	EngineFast Engine = iota
-	// EngineReference is the original pairwise O(n²) builder and
-	// full-rescan ready loop — the ground truth EngineFast is
-	// differentially tested against, block for block.
-	EngineReference
+	// queue over monotone earliest-issue bounds (readyq.go). The default,
+	// and the only greedy engine.
+	EngineFast Engine = 0
+	// Value 1 is retired (its engine is test-only now); EngineOptimal
+	// keeps 2 so archived table JSON ("Engine": 2) keeps its meaning.
+
 	// EngineOptimal runs the fast greedy pass and then a branch-and-bound
 	// exact search (optimal.go) that either proves the greedy schedule
 	// optimal or replaces it with a provably cheaper one. Search effort is
 	// bounded by Options.OptimalBudget/OptimalMaxInsts; blocks exceeding
 	// the budget keep the greedy result. A ground-truth mode for
 	// measuring the optimality gap, not a production default.
-	EngineOptimal
+	EngineOptimal Engine = 2
 )
 
 // String names the engine as the CLIs' -engine flag spells it.
 func (e Engine) String() string {
-	switch e {
-	case EngineReference:
-		return "reference"
-	case EngineOptimal:
+	if e == EngineOptimal {
 		return "optimal"
 	}
 	return "fast"
@@ -110,12 +72,10 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "fast", "":
 		return EngineFast, nil
-	case "reference":
-		return EngineReference, nil
 	case "optimal":
 		return EngineOptimal, nil
 	}
-	return 0, fmt.Errorf("core: unknown engine %q (want fast, reference or optimal)", s)
+	return 0, fmt.Errorf("core: unknown engine %q (want fast or optimal)", s)
 }
 
 // Options tune the scheduler. The zero value is the paper's configuration.
@@ -130,19 +90,13 @@ type Options struct {
 	// NoReorder disables scheduling entirely; blocks pass through
 	// unchanged (the unscheduled instrumentation baseline).
 	NoReorder bool
-	// Oracle selects the stall oracle New builds (fast compiled tables by
-	// default; the reference interpreter for A/B checks). Both produce
-	// byte-identical schedules — the equivalence is fuzzed in
-	// internal/pipe and enforced in CI.
-	Oracle Oracle
-	// Engine selects the scheduling implementation (the fast arena-based
-	// path by default; the original pairwise builder and rescan loop for
-	// A/B checks). Fast and reference produce byte-identical schedules;
-	// EngineOptimal additionally runs a branch-and-bound exact search
-	// after the greedy pass and may emit a provably cheaper order. The
-	// fast engine's soundness rests on oracle monotonicity, so schedulers
-	// driven by custom oracles (NewWith, NewWithFactory) always run the
-	// reference engine regardless of this option.
+	// Engine selects the scheduling implementation: the fast greedy
+	// engine by default, or EngineOptimal, which additionally runs a
+	// branch-and-bound exact search after the greedy pass and may emit a
+	// provably cheaper order. EngineOptimal needs the compiled oracle's
+	// prepared probes and checkpoints, so only New honours it; schedulers
+	// built around a custom oracle (NewWith, NewWithFactory) run the fast
+	// greedy engine.
 	Engine Engine
 	// OptimalBudget bounds the exact search (EngineOptimal) in
 	// branch-and-bound nodes — speculative issues — per block. 0 selects
@@ -193,10 +147,25 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Pipeline is the stall oracle driving list scheduling. pipe.State — the
-// paper's SADL-derived pipeline_stalls — is the standard implementation;
-// sim.HWPipeline models the real machine's grouping rules and lets the
-// workload generator schedule code the way the vendors' compilers did.
+// Pipeline is the stall oracle driving list scheduling. pipe.FastState —
+// the paper's SADL-derived pipeline_stalls, compiled to tables — is the
+// standard implementation; sim.HWPipeline models the real machine's
+// grouping rules and lets the workload generator schedule code the way
+// the vendors' compilers did.
+//
+// Every implementation must be monotone: after Reset, let clock be the
+// issue cycle Issue last returned (0 before the first Issue). For any
+// instruction c, clock + Stalls(c) — the absolute cycle c could issue at
+// — never decreases across an Issue of another instruction. Issue may
+// only add unit usage, raise register read/write horizons and advance
+// the clock; it may never free a resource or let an instruction issue
+// earlier than it could before. The scheduler relies on this: a Stalls
+// probe taken earlier in a block is a permanent lower bound on the
+// instruction's earliest issue cycle, so the ready queue (readyq.go)
+// re-probes only the instruction at its head instead of the whole ready
+// list, and still picks exactly what a full rescan would. pipe.FastState,
+// pipe.State and sim.HWPipeline are checked against the contract by a
+// property test in internal/sim.
 type Pipeline interface {
 	Reset()
 	Stalls(inst sparc.Inst) (int, error)
@@ -217,7 +186,6 @@ type Scheduler struct {
 	pool    sync.Pool       // of *worker, fed by factory
 	opts    Options
 	cacheID uint64     // cache key seed; 0 when results are uncacheable
-	fastOK  bool       // oracle known monotone, EngineFast allowed
 	tel     *telemetry // nil unless Options.Obs carries a registry
 	opt     *optAgg    // nil unless Engine == EngineOptimal (optimal.go)
 	// telForceReplay disables inline attribution capture and the cache
@@ -226,6 +194,13 @@ type Scheduler struct {
 	// hook: the differential attribution test runs both modes and
 	// asserts counter-for-counter equality.
 	telForceReplay bool
+	// refEngine, when non-nil, replaces the fast engine's straight-line
+	// pass. A test hook: the tests install the reference pairwise
+	// builder and full-rescan ready loop here as the fast engine's
+	// differential ground truth (export_test.go). A method expression,
+	// not a method value, so the hook holds no reference to s and the
+	// exec pool's finalizer still runs.
+	refEngine func(s *Scheduler, w *worker, body []sparc.Inst) ([]sparc.Inst, error)
 	// exec is the persistent goroutine pool ScheduleBlocks dispatches
 	// batch helpers to (pool.go); nil on sequential-only schedulers.
 	exec *execPool
@@ -239,8 +214,7 @@ type Scheduler struct {
 // engine probes in a different order and EngineOptimal may emit a
 // sequence the greedy pass never issued, so both fall back to replay.
 func (s *Scheduler) telCapture() bool {
-	return s.tel != nil && !s.telForceReplay && s.fastOK &&
-		s.opts.Engine != EngineReference && s.opt == nil
+	return s.tel != nil && !s.telForceReplay && s.refEngine == nil && s.opt == nil
 }
 
 // worker bundles one goroutine's private scheduling state: a stall
@@ -292,20 +266,12 @@ type worker struct {
 }
 
 // New returns a scheduler driven by the machine's SADL pipeline model —
-// the paper's configuration. Options.Oracle picks the implementation:
-// the compiled table-driven pipe.FastState by default, or the reference
-// pipe.State interpreter.
+// the paper's configuration — through the compiled table-driven
+// pipe.FastState.
 func New(model *spawn.Model, opts Options) *Scheduler {
 	factory := func() Pipeline { return pipe.NewFastState(model) }
-	if opts.Oracle == OracleReference {
-		factory = func() Pipeline { return pipe.NewState(model) }
-	}
 	s := &Scheduler{model: model, seq: &worker{p: factory()}, factory: factory, opts: opts}
 	s.pool.New = func() any { return &worker{p: factory()} }
-	// Both pipe oracles are monotone (Issue only adds unit usage, raises
-	// register horizons and advances the clock), which is what the fast
-	// engine's cached-probe lower bounds rely on.
-	s.fastOK = true
 	// Only the default oracle is cacheable: the model name plus the
 	// options that change schedules fully determine the output.
 	s.cacheID = cacheSeed(model, opts)
@@ -343,11 +309,12 @@ func (s *Scheduler) Close() {
 }
 
 // NewWith returns a scheduler driven by a custom stall oracle (e.g. a
-// hardware model with grouping rules the SADL description omits). The
-// oracle cannot be replicated, so ScheduleBlocks degrades to the
-// sequential path; use NewWithFactory to keep the parallel path. Custom
-// oracles are not known to be monotone, so these schedulers run the
-// reference engine.
+// hardware model with grouping rules the SADL description omits), which
+// must honour the Pipeline monotone contract. The oracle cannot be
+// replicated, so ScheduleBlocks degrades to the sequential path; use
+// NewWithFactory to keep the parallel path. Results are never cached
+// (the oracle is not part of the cache key) and Options.Engine is
+// ignored: custom oracles run the fast greedy engine.
 func NewWith(p Pipeline, model *spawn.Model, opts Options) *Scheduler {
 	return &Scheduler{model: model, seq: &worker{p: p}, opts: opts,
 		tel: newTelemetry(opts.Obs, model)}
@@ -355,8 +322,8 @@ func NewWith(p Pipeline, model *spawn.Model, opts Options) *Scheduler {
 
 // NewWithFactory returns a scheduler whose stall oracles come from
 // factory, one per worker goroutine, so ScheduleBlocks can run blocks
-// concurrently against custom pipelines (e.g. sim.HWPipeline). Like
-// NewWith, it runs the reference engine.
+// concurrently against custom pipelines (e.g. sim.HWPipeline). Otherwise
+// it is NewWith.
 func NewWithFactory(factory func() Pipeline, model *spawn.Model, opts Options) *Scheduler {
 	s := &Scheduler{model: model, seq: &worker{p: factory()}, factory: factory, opts: opts}
 	s.pool.New = func() any { return &worker{p: factory()} }
@@ -367,20 +334,6 @@ func NewWithFactory(factory func() Pipeline, model *spawn.Model, opts Options) *
 
 // Model returns the scheduler's machine model.
 func (s *Scheduler) Model() *spawn.Model { return s.model }
-
-// node is one instruction in the block's dependence DAG.
-type node struct {
-	inst  sparc.Inst
-	index int // original position, the final tiebreak
-	succs []edge
-	npred int
-	chain int // pass-1 dependence-chain length to block end, in cycles
-}
-
-type edge struct {
-	to  *node
-	lat int // minimum stall-free issue distance
-}
 
 // ScheduleBlock reorders one basic block. The slice must be a full block:
 // if it ends with a control-transfer instruction and its delay slot, the
@@ -830,59 +783,60 @@ func (sc *scratch) delaySlotLegal(cti, cand sparc.Inst) bool {
 }
 
 // scheduleStraightLine runs the two-pass list scheduler over straight-line
-// code on worker w, dispatching to the selected engine. The fast engine
-// is only eligible on schedulers built with New (known-monotone oracles).
+// code on worker w: the fast engine, unless a test installed the
+// reference engine (refEngine).
 func (s *Scheduler) scheduleStraightLine(w *worker, body []sparc.Inst) ([]sparc.Inst, int64, error) {
 	if len(body) <= 1 {
 		return body, -1, nil
 	}
-	if s.fastOK && s.opts.Engine != EngineReference {
-		// EngineOptimal also takes this path: the greedy fast pass both
-		// seeds the exact search's incumbent and fills the scratch arenas
-		// (dependence graph, prepared probes) the search reuses.
-		sc := &w.sc
-		var phaseT0 time.Time
-		if w.tt != nil {
-			phaseT0 = time.Now()
-		}
-		pp, usePrep := w.p.(preparedPipeline)
-		if usePrep {
-			// Resolve every instruction's placement inputs once; the
-			// graph build, the scheduling loop and the guard's cost
-			// replay each need them, several times over. Preparing scans
-			// instructions in order, so a model-lookup failure surfaces
-			// on the same first bad instruction the reference build
-			// would report.
-			// Reserve three slots past the body: CTI pricing appends the
-			// CTI, a nop, and possibly a non-canonical delay-slot nop
-			// (scheduleBlockRaw) without reallocating.
-			if cap(sc.Prep) < len(body)+3 {
-				sc.Prep = make([]pipe.Prepared, len(body)+3)
-			}
-			sc.Prep = sc.Prep[:len(body)]
-			for i, inst := range body {
-				p, err := pp.Prepare(inst)
-				if err != nil {
-					return nil, -1, err
-				}
-				sc.Prep[i] = p
-			}
-		}
-		if err := s.buildDepGraph(sc, body, usePrep); err != nil {
-			return nil, -1, err
-		}
-		sc.prepOK = usePrep
-		if w.tt != nil {
-			now := time.Now()
-			w.tt.depgraphNs += now.Sub(phaseT0).Nanoseconds()
-			out, cost, err := s.runFastList(sc, w.p, pp)
-			w.tt.readyNs += time.Since(now).Nanoseconds()
-			return out, cost, err
-		}
-		return s.runFastList(sc, w.p, pp)
+	if s.refEngine != nil {
+		out, err := s.refEngine(s, w, body)
+		return out, -1, err
 	}
-	out, err := s.referenceStraightLine(w, body)
-	return out, -1, err
+	// EngineOptimal also takes this path: the greedy fast pass both
+	// seeds the exact search's incumbent and fills the scratch arenas
+	// (dependence graph, prepared probes) the search reuses.
+	sc := &w.sc
+	var phaseT0 time.Time
+	if w.tt != nil {
+		phaseT0 = time.Now()
+	}
+	// Oracles without prepared placement (pipe.State, sim.HWPipeline)
+	// take the same engine through plain Stalls/Issue probes.
+	pp, usePrep := w.p.(preparedPipeline)
+	if usePrep {
+		// Resolve every instruction's placement inputs once; the graph
+		// build, the scheduling loop and the guard's cost replay each
+		// need them, several times over. Preparing scans instructions in
+		// order, so a model-lookup failure surfaces on the same first
+		// bad instruction the reference build would report.
+		// Reserve three slots past the body: CTI pricing appends the
+		// CTI, a nop, and possibly a non-canonical delay-slot nop
+		// (scheduleBlockRaw) without reallocating.
+		if cap(sc.Prep) < len(body)+3 {
+			sc.Prep = make([]pipe.Prepared, len(body)+3)
+		}
+		sc.Prep = sc.Prep[:len(body)]
+		for i, inst := range body {
+			p, err := pp.Prepare(inst)
+			if err != nil {
+				return nil, -1, err
+			}
+			sc.Prep[i] = p
+		}
+	}
+	if err := s.buildDepGraph(sc, body, usePrep); err != nil {
+		return nil, -1, err
+	}
+	sc.prepOK = usePrep
+	if w.tt != nil {
+		now := time.Now()
+		w.tt.depgraphNs += now.Sub(phaseT0).Nanoseconds()
+		out, cost, err := s.runFastList(sc, w.p, pp)
+		w.tt.readyNs += time.Since(now).Nanoseconds()
+		return out, cost, err
+	}
+	return s.runFastList(sc, w.p, pp)
 }
 
 // preparedPipeline is the optional oracle interface for pre-resolved
@@ -894,189 +848,9 @@ type preparedPipeline interface {
 	IssuePrepared(p *pipe.Prepared, inst sparc.Inst) (int, int64, error)
 }
 
-// referenceStraightLine is the original two-pass implementation: pairwise
-// DAG build, then a full ready-list Stalls rescan per issue step. It is
-// the ground truth the fast engine is differentially tested against.
-func (s *Scheduler) referenceStraightLine(w *worker, body []sparc.Inst) ([]sparc.Inst, error) {
-	p := w.p
-	var phaseT0 time.Time
-	if w.tt != nil {
-		phaseT0 = time.Now()
-	}
-	nodes, err := s.buildDAG(body)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pass 1: backward dependence-chain lengths.
-	for i := len(nodes) - 1; i >= 0; i-- {
-		n := nodes[i]
-		n.chain = 1
-		for _, e := range n.succs {
-			if c := e.lat + e.to.chain; c > n.chain {
-				n.chain = c
-			}
-		}
-	}
-	if w.tt != nil {
-		now := time.Now()
-		w.tt.depgraphNs += now.Sub(phaseT0).Nanoseconds()
-		phaseT0 = now
-		defer func() { w.tt.readyNs += time.Since(phaseT0).Nanoseconds() }()
-	}
-
-	// Pass 2: forward list scheduling.
-	p.Reset()
-	ready := make([]*node, 0, len(nodes))
-	for _, n := range nodes {
-		if n.npred == 0 {
-			ready = append(ready, n)
-		}
-	}
-	out := make([]sparc.Inst, 0, len(body))
-	var sts []int // per-ready stall probes, kept only while tracing
-	for len(ready) > 0 {
-		bestIdx := -1
-		bestStalls := 0
-		var best *node
-		if w.sc.traceOn {
-			sts = append(sts[:0], make([]int, len(ready))...)
-		}
-		for i, n := range ready {
-			st, err := p.Stalls(n.inst)
-			if err != nil {
-				return nil, err
-			}
-			if sts != nil {
-				sts[i] = st
-			}
-			if best == nil || s.better(st, n, bestStalls, best) {
-				best, bestIdx, bestStalls = n, i, st
-			}
-		}
-		_, issue, err := p.Issue(best.inst)
-		if err != nil {
-			return nil, err
-		}
-		if w.sc.traceOn {
-			s.refTraceStep(w, ready, sts, bestIdx, bestStalls, issue)
-		}
-		out = append(out, best.inst)
-		ready[bestIdx] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		for _, e := range best.succs {
-			e.to.npred--
-			if e.to.npred == 0 {
-				ready = append(ready, e.to)
-			}
-		}
-	}
-	if len(out) != len(body) {
-		return nil, fmt.Errorf("core: scheduler dropped instructions (%d of %d)", len(out), len(body))
-	}
-	return out, nil
-}
-
-// better reports whether candidate (stalls st, node n) beats the current
-// best. Default priority: fewest stalls, then longest chain to block end,
-// then original order.
-func (s *Scheduler) better(st int, n *node, bestSt int, best *node) bool {
-	if s.opts.ChainFirst {
-		if n.chain != best.chain {
-			return n.chain > best.chain
-		}
-		if st != bestSt {
-			return st < bestSt
-		}
-		return n.index < best.index
-	}
-	if st != bestSt {
-		return st < bestSt
-	}
-	if n.chain != best.chain {
-		return n.chain > best.chain
-	}
-	return n.index < best.index
-}
-
-// buildDAG constructs the dependence DAG with the paper's memory rules.
-func (s *Scheduler) buildDAG(body []sparc.Inst) ([]*node, error) {
-	nodes := make([]*node, len(body))
-	for i, inst := range body {
-		nodes[i] = &node{inst: inst, index: i}
-	}
-	var usesI, defsI, usesJ, defsJ []sparc.Reg
-	for i := 0; i < len(body); i++ {
-		gi, err := s.model.GroupOf(body[i])
-		if err != nil {
-			return nil, err
-		}
-		usesI = body[i].Uses(usesI[:0])
-		defsI = body[i].Defs(defsI[:0])
-		for j := i + 1; j < len(body); j++ {
-			usesJ = body[j].Uses(usesJ[:0])
-			defsJ = body[j].Defs(defsJ[:0])
-
-			lat := 0
-			dep := false
-			// RAW: i defines a register j uses.
-			if r, ok := intersects(defsI, usesJ); ok {
-				dep = true
-				if l := s.rawLatency(gi, body[i], body[j], r); l > lat {
-					lat = l
-				}
-			}
-			// WAR and WAW: ordering edges with unit latency.
-			if _, ok := intersects(usesI, defsJ); ok {
-				dep = true
-				if lat < 1 {
-					lat = 1
-				}
-			}
-			if _, ok := intersects(defsI, defsJ); ok {
-				dep = true
-				if lat < 1 {
-					lat = 1
-				}
-			}
-			// Memory ordering.
-			if s.memConflict(body[i], body[j]) {
-				dep = true
-				if lat < 1 {
-					lat = 1
-				}
-			}
-			// Traps are scheduling barriers: nothing moves across them.
-			if body[i].Op == sparc.OpTicc || body[j].Op == sparc.OpTicc {
-				dep = true
-				if lat < 1 {
-					lat = 1
-				}
-			}
-			if dep {
-				nodes[i].succs = append(nodes[i].succs, edge{to: nodes[j], lat: lat})
-				nodes[j].npred++
-			}
-		}
-	}
-	return nodes, nil
-}
-
-// rawLatency returns the minimum stall-free issue distance between a
-// producer and a consumer of register r: the producer's availability cycle
-// for r minus the consumer's read cycle for r.
-func (s *Scheduler) rawLatency(gi *spawn.Group, prod, cons sparc.Inst, r sparc.Reg) int {
-	avail := writeAvail(gi, prod, r)
-	read := 1
-	if gj, err := s.model.GroupOf(cons); err == nil {
-		read = readCycle(gj, cons, r)
-	}
-	if l := avail - read; l > 0 {
-		return l
-	}
-	return 0
-}
-
+// writeAvail is the cycle at which inst's write of r becomes available,
+// counted from issue: the matching write access's cycle, or the group's
+// occupancy when no access names r.
 func writeAvail(g *spawn.Group, inst sparc.Inst, r sparc.Reg) int {
 	def := g.Cycles
 	for _, w := range g.Writes {
@@ -1087,6 +861,7 @@ func writeAvail(g *spawn.Group, inst sparc.Inst, r sparc.Reg) int {
 	return def
 }
 
+// readCycle is the cycle, counted from issue, at which inst reads r.
 func readCycle(g *spawn.Group, inst sparc.Inst, r sparc.Reg) int {
 	for _, rd := range g.Reads {
 		if fieldNames(rd, inst, r) {

@@ -36,14 +36,25 @@ func (m *memTraceSink) byBlock() map[int]*BlockTrace {
 	return out
 }
 
+// schedulerVariant is one engine × oracle configuration.
+type schedulerVariant struct {
+	name string
+	mk   func(*spawn.Model, Options) *Scheduler
+}
+
 // engineOracleCombos is the four-way matrix the acceptance criteria
-// quantify over.
-func engineOracleCombos() []Options {
-	return []Options{
-		{Engine: EngineFast, Oracle: OracleFast},
-		{Engine: EngineFast, Oracle: OracleReference},
-		{Engine: EngineReference, Oracle: OracleFast},
-		{Engine: EngineReference, Oracle: OracleReference},
+// quantify over: the fast and reference engines, each over the compiled
+// tables (New) and over the pipe.State interpreter. The first entry is
+// the production configuration.
+func engineOracleCombos() []schedulerVariant {
+	ref := func(mk func(*spawn.Model, Options) *Scheduler) func(*spawn.Model, Options) *Scheduler {
+		return func(m *spawn.Model, o Options) *Scheduler { return UseReferenceEngine(mk(m, o)) }
+	}
+	return []schedulerVariant{
+		{"engine=fast/oracle=fast", New},
+		{"engine=fast/oracle=reference", NewStateScheduler},
+		{"engine=reference/oracle=fast", ref(New)},
+		{"engine=reference/oracle=reference", ref(NewStateScheduler)},
 	}
 }
 
@@ -68,12 +79,10 @@ func TestTelemetryAttributionAcrossEnginesAndOracles(t *testing.T) {
 	blocks := randomBlocks(rand.New(rand.NewSource(21)), 150)
 	var base map[string]int64
 	var baseName string
-	for _, opts := range engineOracleCombos() {
-		name := fmt.Sprintf("engine=%s/oracle=%s", opts.Engine, opts.Oracle)
+	for _, v := range engineOracleCombos() {
+		name := v.name
 		reg := obs.NewRegistry()
-		opts.Workers = 1
-		opts.Obs = reg
-		s := New(model, opts)
+		s := v.mk(model, Options{Workers: 1, Obs: reg})
 		if _, err := s.ScheduleBlocks(blocks); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -224,16 +233,19 @@ func TestTelemetryDisabledIsNil(t *testing.T) {
 func TestTraceEnginesAgreeDecisionForDecision(t *testing.T) {
 	model := spawn.MustLoad(spawn.UltraSPARC)
 	blocks := randomBlocks(rand.New(rand.NewSource(25)), 80)
-	run := func(engine Engine) *memTraceSink {
+	run := func(reference bool) *memTraceSink {
 		sink := &memTraceSink{}
-		s := New(model, Options{Workers: 1, Engine: engine, Trace: sink})
+		s := New(model, Options{Workers: 1, Trace: sink})
+		if reference {
+			UseReferenceEngine(s)
+		}
 		if _, err := s.ScheduleBlocks(blocks); err != nil {
 			t.Fatal(err)
 		}
 		return sink
 	}
-	fast := run(EngineFast).byBlock()
-	ref := run(EngineReference).byBlock()
+	fast := run(false).byBlock()
+	ref := run(true).byBlock()
 	if len(fast) != len(blocks) || len(ref) != len(blocks) {
 		t.Fatalf("trace counts: fast %d, reference %d, want %d", len(fast), len(ref), len(blocks))
 	}
@@ -440,7 +452,7 @@ func TestTelemetryEnabledOverheadGuard(t *testing.T) {
 func TestScheduleBlockDisabledAllocations(t *testing.T) {
 	model := spawn.MustLoad(spawn.UltraSPARC)
 	block := randomBlocks(rand.New(rand.NewSource(29)), 1)[0]
-	s := New(model, Options{Engine: EngineFast, Oracle: OracleFast})
+	s := New(model, Options{})
 	for i := 0; i < 3; i++ { // settle lazily grown scratch
 		if _, err := s.ScheduleBlock(block); err != nil {
 			t.Fatal(err)
@@ -484,26 +496,24 @@ func BenchmarkScheduleBlocksTelemetry(b *testing.B) {
 // the per-worker inline capture path: the telForceReplay hook pins the
 // old post-schedule replay attribution, and every exported counter and
 // histogram must match it count for count, across the engine × oracle
-// matrix and across worker counts. Inline capture only engages on the
-// fast-engine/fast-oracle line-rate configuration — every other combo
-// replays on both sides — so the matrix proves both that the capture is
-// exact where it runs and that the fallback detection is airtight where
-// it doesn't.
+// matrix and across worker counts. Inline capture engages only on the
+// fast engine (fully on the compiled oracle, for straight-line blocks
+// over pipe.State); the reference-engine combos replay on both sides —
+// so the matrix proves both that the capture is exact where it runs and
+// that the fallback detection is airtight where it doesn't.
 func TestTelemetryInlineCaptureMatchesReplay(t *testing.T) {
 	model := spawn.MustLoad(spawn.UltraSPARC)
 	blocks := randomBlocks(rand.New(rand.NewSource(23)), 200)
-	for _, opts := range engineOracleCombos() {
+	for i, v := range engineOracleCombos() {
 		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("engine=%s/oracle=%s/workers=%d", opts.Engine, opts.Oracle, workers)
+			name := fmt.Sprintf("%s/workers=%d", v.name, workers)
 			run := func(forceReplay bool) *obs.Export {
 				reg := obs.NewRegistry()
-				o := opts
-				o.Workers = workers
-				o.Obs = reg
 				// Half the blocks cached, to cover the hit path's
-				// attribution under both modes.
-				o.Cache = NewCache(1024)
-				s := New(model, o)
+				// attribution under both modes (only the production
+				// configuration consults a cache).
+				o := Options{Workers: workers, Obs: reg, Cache: NewCache(1024)}
+				s := v.mk(model, o)
 				defer s.Close()
 				s.telForceReplay = forceReplay
 				if _, err := s.ScheduleBlocks(blocks[:len(blocks)/2]); err != nil {
@@ -515,7 +525,7 @@ func TestTelemetryInlineCaptureMatchesReplay(t *testing.T) {
 				return reg.Snapshot()
 			}
 			inline, replay := run(false), run(true)
-			if opts.Engine == EngineFast && opts.Oracle == OracleFast {
+			if i == 0 {
 				// Misses capture inline and hits copy the miss's record:
 				// the line-rate configuration never replays.
 				if n := inline.Counters["sched.telemetry.replays"]; n != 0 {

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"eel/internal/obs"
+	"eel/internal/pipe"
 	"eel/internal/sparc"
 )
 
@@ -75,20 +76,22 @@ func (s jsonlTraceSink) TraceBlock(t *BlockTrace) error { return s.j.Write(t) }
 // NewJSONLTraceSink adapts a JSONL writer into a TraceSink.
 func NewJSONLTraceSink(j *obs.JSONL) TraceSink { return jsonlTraceSink{j: j} }
 
-// engineName is the effective engine label for traces: schedulers with
-// custom oracles always run the reference engine (see Options.Engine).
+// engineName labels the engine for traces.
 func (s *Scheduler) engineName() string {
-	if s.fastOK && s.opts.Engine != EngineReference {
-		return s.opts.Engine.String()
+	switch {
+	case s.refEngine != nil:
+		return "reference"
+	case s.opt != nil:
+		return EngineOptimal.String()
 	}
-	return EngineReference.String()
+	return EngineFast.String()
 }
 
-// oracleName labels the oracle for traces: the configured one on
-// schedulers built with New, "custom" for NewWith/NewWithFactory.
+// oracleName labels the oracle for traces: "fast" for the compiled
+// tables New uses, "custom" for any other oracle.
 func (s *Scheduler) oracleName() string {
-	if s.fastOK {
-		return s.opts.Oracle.String()
+	if _, ok := s.seq.p.(*pipe.FastState); ok {
+		return "fast"
 	}
 	return "custom"
 }
@@ -115,59 +118,6 @@ func (s *Scheduler) emitTrace(w *worker, idx int, block, out []sparc.Inst) {
 	if err := s.opts.Trace.TraceBlock(bt); err != nil && s.tel != nil {
 		s.tel.replayErrs.Inc()
 	}
-}
-
-// tieReason names the priority key that separated the reference
-// engine's winner from its runner-up, in better()'s key order.
-func (s *Scheduler) tieReason(bestSt int, best *node, runSt int, run *node) string {
-	if run == nil {
-		return "only"
-	}
-	if s.opts.ChainFirst {
-		if run.chain != best.chain {
-			return "chain"
-		}
-		if runSt != bestSt {
-			return "stalls"
-		}
-		return "index"
-	}
-	if runSt != bestSt {
-		return "stalls"
-	}
-	if run.chain != best.chain {
-		return "chain"
-	}
-	return "index"
-}
-
-// refTraceStep records one reference-engine decision: ready is the live
-// ready list, sts the stall probe per entry, best its winning index.
-func (s *Scheduler) refTraceStep(w *worker, ready []*node, sts []int, bestIdx, bestStalls int, issue int64) {
-	best := ready[bestIdx]
-	rd := make([]int32, len(ready))
-	for i, n := range ready {
-		rd[i] = int32(n.index)
-	}
-	slices.Sort(rd)
-	var run *node
-	runSt := 0
-	for i, n := range ready {
-		if i == bestIdx {
-			continue
-		}
-		if run == nil || s.better(sts[i], n, runSt, run) {
-			run, runSt = n, sts[i]
-		}
-	}
-	w.sc.steps = append(w.sc.steps, TraceStep{
-		Ready:  rd,
-		Chosen: int32(best.index),
-		Inst:   best.inst.String(),
-		Stalls: bestStalls,
-		Issue:  issue,
-		Reason: s.tieReason(bestStalls, best, runSt, run),
-	})
 }
 
 // fastTraceStep records one fast-engine decision at the moment the root

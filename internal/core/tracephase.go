@@ -13,7 +13,7 @@ import (
 // last worker is done. With no trace, worker.tt is nil and every timing
 // site is a single pointer test.
 type phaseTimes struct {
-	depgraphNs int64 // dependence-graph build (prepare + buildDepGraph / buildDAG + pass 1)
+	depgraphNs int64 // dependence-graph build (prepare + buildDepGraph + pass 1)
 	readyNs    int64 // ready-list issue loop (runFastList / reference pass 2)
 	ctiNs      int64 // CTI extraction, delay-slot refill, re-pricing
 	cacheNs    int64 // schedule-cache lookups

@@ -8,7 +8,8 @@ import (
 
 // VerifyDependences checks that sched is a legal reordering of orig under
 // the scheduler's dependence rules (the same register, memory and trap
-// rules buildDAG encodes, with this scheduler's aliasing options). It is
+// rules the dependence-graph builders encode, with this scheduler's
+// aliasing options). It is
 // the invariant layer behind the property tests: any schedule the paper's
 // algorithm may emit must
 //

@@ -19,7 +19,6 @@ import (
 	"eel/internal/core"
 	"eel/internal/exe"
 	"eel/internal/obs"
-	"eel/internal/pipe"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
 )
@@ -58,7 +57,6 @@ type schedKey struct {
 	conservativeMem bool
 	chainFirst      bool
 	noReorder       bool
-	oracle          core.Oracle
 	engine          core.Engine
 	workers         int
 	cache           *core.Cache
@@ -151,12 +149,9 @@ type Options struct {
 	Schedule bool
 	// Sched passes through scheduler options (aliasing rules, ablations).
 	Sched core.Options
-	// SchedPipeline overrides the stall oracle driving the scheduler
-	// (default: the machine's SADL pipeline model). The workload
-	// generator passes a hardware model here to emulate vendor-compiler
-	// scheduling.
-	SchedPipeline core.Pipeline
-	// Scheduler overrides the scheduler entirely.
+	// Scheduler overrides the scheduler entirely. The workload generator
+	// passes one driven by a hardware model here to emulate
+	// vendor-compiler scheduling.
 	Scheduler BlockScheduler
 }
 
@@ -200,12 +195,6 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 		switch {
 		case opts.Scheduler != nil:
 			sched = opts.Scheduler
-		case opts.SchedPipeline != nil:
-			if f := pipelineFactory(opts.SchedPipeline); f != nil {
-				sched = core.NewWithFactory(f, opts.Machine, opts.Sched)
-			} else {
-				sched = core.NewWith(opts.SchedPipeline, opts.Machine, opts.Sched)
-			}
 		default:
 			sc := opts.Sched
 			if sc.Cache == nil {
@@ -404,7 +393,6 @@ func (ed *Editor) schedulerFor(model *spawn.Model, sc core.Options) *core.Schedu
 		conservativeMem: sc.ConservativeMem,
 		chainFirst:      sc.ChainFirst,
 		noReorder:       sc.NoReorder,
-		oracle:          sc.Oracle,
 		engine:          sc.Engine,
 		workers:         sc.Workers,
 		cache:           sc.Cache,
@@ -441,22 +429,4 @@ func (ed *Editor) Close() {
 // reordered by the paper's scheduler (the Table 2 baseline).
 func (ed *Editor) Reschedule(machine *spawn.Model, sched core.Options) (*exe.Exe, error) {
 	return ed.Edit(nil, Options{Machine: machine, Schedule: true, Sched: sched})
-}
-
-// pipelineFactory derives a per-worker oracle factory from a caller-
-// supplied stall oracle, so SchedPipeline users still get the parallel
-// scheduling path. Oracles that can replicate themselves (sim.HWPipeline
-// via Fork) and the standard pipe oracles (compiled FastState, reference
-// State) are recognized; anything else returns nil and schedules
-// sequentially on the single instance.
-func pipelineFactory(p core.Pipeline) func() core.Pipeline {
-	switch v := p.(type) {
-	case interface{ Fork() core.Pipeline }:
-		return func() core.Pipeline { return v.Fork() }
-	case *pipe.FastState:
-		return func() core.Pipeline { return pipe.NewFastState(v.Model()) }
-	case *pipe.State:
-		return func() core.Pipeline { return pipe.NewState(v.Model()) }
-	}
-	return nil
 }

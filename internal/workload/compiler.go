@@ -15,10 +15,14 @@ import (
 // and keeps the fastest. EEL's later rescheduling pass, blind to the
 // hardware rules and armed with a single heuristic, partially undoes this
 // work: the paper's Table 1 de-scheduling effect.
+//
+// A compilerScheduler is not safe for concurrent use: eel.Edit drives a
+// plain BlockScheduler one block at a time.
 type compilerScheduler struct {
-	model      *spawn.Model
-	rules      sim.Rules
 	candidates []*core.Scheduler
+	// hw prices candidates; Reset before each block, it issues exactly
+	// like a fresh pipeline (TestHWPipelineResetMatchesFresh).
+	hw *sim.HWPipeline
 }
 
 func newCompilerScheduler(model *spawn.Model, rules sim.Rules) *compilerScheduler {
@@ -26,12 +30,11 @@ func newCompilerScheduler(model *spawn.Model, rules sim.Rules) *compilerSchedule
 		return core.NewWith(sim.NewHWPipeline(model, rules), model, opts)
 	}
 	return &compilerScheduler{
-		model: model,
-		rules: rules,
 		candidates: []*core.Scheduler{
 			mk(core.Options{}),
 			mk(core.Options{ChainFirst: true}),
 		},
+		hw: sim.NewHWPipeline(model, rules),
 	}
 }
 
@@ -60,13 +63,13 @@ func (c *compilerScheduler) ScheduleBlock(block []sparc.Inst) ([]sparc.Inst, err
 	return best, nil
 }
 
-// cost measures a block on a fresh hardware pipeline: the issue cycle of
-// the last instruction.
+// cost measures a block on an empty hardware pipeline: the issue cycle
+// of the last instruction.
 func (c *compilerScheduler) cost(block []sparc.Inst) (int64, error) {
-	p := sim.NewHWPipeline(c.model, c.rules)
+	c.hw.Reset()
 	var last int64
 	for _, inst := range block {
-		_, t, err := p.Issue(inst)
+		_, t, err := c.hw.Issue(inst)
 		if err != nil {
 			return 0, err
 		}
